@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <thread>
@@ -247,11 +248,19 @@ double MeasureSweepNsPerEntity(const KgeModel& model, int reps) {
                  static_cast<double>(model.num_entities()));
 }
 
+/// The kernel path the dispatcher resolved (the default, or KGC_KERNEL's
+/// choice); sections that pin a path restore it when they finish.
+vec::KernelPath ActiveKernelPath() {
+  return std::strcmp(vec::Ops().name, "native") == 0
+             ? vec::KernelPath::kNative
+             : vec::KernelPath::kGeneric;
+}
+
 /// Times every model's ScoreTails sweep under the generic and (when
 /// available) the -march native kernel path and writes the kernel_paths
-/// JSON section. The dispatch override is restored to generic afterwards,
-/// the build's default.
+/// JSON section. The active path is restored afterwards.
 void RunKernelPaths(std::ostream& out) {
+  const vec::KernelPath active = ActiveKernelPath();
   const bool native = vec::NativeKernelsAvailable();
   out << "  \"kernel_paths\": {\n"
       << "    \"native_available\": " << (native ? "true" : "false") << ",\n"
@@ -270,7 +279,6 @@ void RunKernelPaths(std::ostream& out) {
       vec::SetKernelPathForTest(vec::KernelPath::kNative);
       MeasureSweepNsPerEntity(*model, 5);
       native_ns = MeasureSweepNsPerEntity(*model, reps);
-      vec::SetKernelPathForTest(vec::KernelPath::kGeneric);
     }
     out << "      {\"model\": \"" << ModelTypeName(type)
         << "\", \"generic_ns_per_entity\": " << generic_ns;
@@ -287,6 +295,7 @@ void RunKernelPaths(std::ostream& out) {
       std::printf("  %-10s generic %8.2f\n", ModelTypeName(type), generic_ns);
     }
   }
+  vec::SetKernelPathForTest(active);
   out << "    ]\n  }";
 }
 
@@ -297,6 +306,7 @@ void RunKernelPaths(std::ostream& out) {
 /// delta for each run, verifies ranks are bit-identical, and writes the
 /// query_dedup JSON section. Returns non-zero if ranks diverge.
 int RunQueryDedup(std::ostream& out) {
+  const vec::KernelPath active = ActiveKernelPath();
   const SyntheticKg& kg = SharedKg();
   const auto model = MakeModel(ModelType::kTransE);
   // A few anchors fanned out over many tails: most triples share their
@@ -361,7 +371,7 @@ int RunQueryDedup(std::ostream& out) {
       points.push_back(point);
     }
   }
-  vec::SetKernelPathForTest(vec::KernelPath::kGeneric);
+  vec::SetKernelPathForTest(active);
 
   out << "  \"query_dedup\": {\n"
       << "    \"model\": \"" << ModelTypeName(ModelType::kTransE) << "\",\n"

@@ -65,6 +65,13 @@ else
   export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 
+  # The native (-march=x86-64-v3) kernels are the default wherever the CPU
+  # runs them, so the generic fallback would otherwise only run on older
+  # CPUs and in the dispatch tests: run the suite once more pinned to it.
+  echo "== tier-1 tests on the generic kernel path =="
+  KGC_KERNEL=generic ctest --test-dir "${BUILD_DIR}" --output-on-failure \
+    -j "$(nproc)"
+
   if [[ "${SANITIZERS}" == *address* ]]; then
     # Promote the chaos suite into the ASan leg: the SIGKILL/recovery
     # sweeps exercise the rotation and supervisor paths where lifetime

@@ -1,5 +1,6 @@
 #include "models/conve.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/vecmath.h"
@@ -44,55 +45,44 @@ ConvE::ConvE(int32_t num_entities, int32_t num_relations,
   }
 }
 
-void ConvE::RunForward(EntityId e, int32_t relation_row, Forward& fwd) const {
-  const int32_t dim = params_.dim;
-  const int32_t in_h = 2 * grid_h_;
-  const int32_t in_w = kGridWidth;
-  fwd.input.resize(static_cast<size_t>(in_h * in_w));
+ConvE::Forward ConvE::RunForward(EntityId e, int32_t relation_row) const {
+  const size_t dim = static_cast<size_t>(params_.dim);
+  const size_t feat = static_cast<size_t>(feat_size_);
+  const auto buf = vec::GetScratch(3 * dim + 2 * feat, 1);
+  const Forward fwd{buf.subspan(0, 2 * dim), buf.subspan(2 * dim, feat),
+                    buf.subspan(2 * dim + feat, feat),
+                    buf.subspan(2 * dim + 2 * feat, dim)};
   const auto ev = entities_.Row(e);
   const auto rv = relations_.Row(relation_row);
-  for (int32_t j = 0; j < dim; ++j) {
-    fwd.input[static_cast<size_t>(j)] = ev[static_cast<size_t>(j)];
-    fwd.input[static_cast<size_t>(dim + j)] = rv[static_cast<size_t>(j)];
-  }
+  std::copy(ev.begin(), ev.end(), fwd.input.begin());
+  std::copy(rv.begin(), rv.end(), fwd.input.begin() + dim);
 
-  fwd.pre.resize(static_cast<size_t>(feat_size_));
-  fwd.feat.resize(static_cast<size_t>(feat_size_));
+  // The conv kernel takes its taps tap-major in double, one lane per
+  // filter; each output sums its bias, then the taps in (ky, kx) order.
+  constexpr int32_t kTaps = kKernel * kKernel;
+  double bias[kFilters];
+  double taps[kTaps * kFilters];
   const auto cb = conv_bias_.Row(0);
   for (int32_t f = 0; f < kFilters; ++f) {
+    bias[f] = cb[static_cast<size_t>(f)];
     const auto kernel = kernels_.Row(f);
-    for (int32_t oy = 0; oy < out_h_; ++oy) {
-      for (int32_t ox = 0; ox < out_w_; ++ox) {
-        double sum = cb[static_cast<size_t>(f)];
-        for (int32_t ky = 0; ky < kKernel; ++ky) {
-          for (int32_t kx = 0; kx < kKernel; ++kx) {
-            sum += static_cast<double>(
-                       kernel[static_cast<size_t>(ky * kKernel + kx)]) *
-                   fwd.input[static_cast<size_t>((oy + ky) * in_w + ox + kx)];
-          }
-        }
-        const size_t idx =
-            static_cast<size_t>((f * out_h_ + oy) * out_w_ + ox);
-        fwd.pre[idx] = static_cast<float>(sum);
-        fwd.feat[idx] = sum > 0 ? static_cast<float>(sum) : 0.0f;
-      }
+    for (int32_t tap = 0; tap < kTaps; ++tap) {
+      taps[tap * kFilters + f] = kernel[static_cast<size_t>(tap)];
     }
   }
+  const auto& ops = vec::Ops();
+  ops.conv2d_relu(fwd.input.data(), static_cast<size_t>(2 * grid_h_),
+                  kGridWidth, taps, bias, kFilters, kKernel, fwd.pre.data(),
+                  fwd.feat.data());
 
-  fwd.z.resize(static_cast<size_t>(dim));
-  fwd.v.resize(static_cast<size_t>(dim));
+  // The FC head is linear (see the header): z = b + sum_i feat[i] fc[i],
+  // rows with a dead (zero) feature skipped.
   const auto fb = fc_bias_.Row(0);
-  for (int32_t d = 0; d < dim; ++d) {
-    fwd.z[static_cast<size_t>(d)] = fb[static_cast<size_t>(d)];
-  }
-  for (int32_t i = 0; i < feat_size_; ++i) {
-    const float fi = fwd.feat[static_cast<size_t>(i)];
-    if (fi == 0.0f) continue;
-    vec::Axpy(fi, fc_.Row(i).data(), fwd.z.data(), static_cast<size_t>(dim));
-  }
-  // The FC head stays linear: without batch-norm a second ReLU collapses
-  // to dead units under SGD (documented deviation from the original).
-  fwd.v = fwd.z;
+  std::copy(fb.begin(), fb.end(), fwd.z.begin());
+  const float one = 1.0f;
+  ops.outer_axpy_rows(fwd.feat.data(), feat, &one, 1, fc_.raw(), dim,
+                      fwd.z.data());
+  return fwd;
 }
 
 double ConvE::Score(EntityId h, RelationId r, EntityId t) const {
@@ -101,85 +91,69 @@ double ConvE::Score(EntityId h, RelationId r, EntityId t) const {
   // per form). Scoring only the forward form would leave the reciprocal
   // side without feedback and let it drift unboundedly through the shared
   // parameters.
-  Forward fwd;
   const size_t dim = static_cast<size_t>(params_.dim);
-  RunForward(h, r, fwd);
-  float dot = 0.0f;
   const auto& ops = vec::Ops();
-  ops.dot_rows(fwd.v.data(), entities_.Row(t).data(), 1, dim, dim, &dot);
+  float dot = 0.0f;
+  ops.dot_rows(RunForward(h, r).z.data(), entities_.Row(t).data(), 1, dim,
+               dim, &dot);
   double score = static_cast<double>(dot) + entity_bias_.Row(t)[0];
-  RunForward(t, num_relations_ + r, fwd);
-  ops.dot_rows(fwd.v.data(), entities_.Row(h).data(), 1, dim, dim, &dot);
+  ops.dot_rows(RunForward(t, num_relations_ + r).z.data(),
+               entities_.Row(h).data(), 1, dim, dim, &dot);
   score += static_cast<double>(dot) + entity_bias_.Row(h)[0];
   return score;
 }
 
 void ConvE::Step(EntityId e_in, int32_t relation_row, EntityId e_out, float g,
                  float lr) {
-  Forward fwd;
-  RunForward(e_in, relation_row, fwd);
-  const int32_t dim = params_.dim;
-  const auto out_v = entities_.Row(e_out);
-
+  const Forward fwd = RunForward(e_in, relation_row);
+  const size_t dim = static_cast<size_t>(params_.dim);
+  const size_t feat = static_cast<size_t>(feat_size_);
   const float decay = static_cast<float>(params_.l2_reg);
+  const auto buf = vec::GetScratch(3 * dim + feat, 2);
+  const auto gz = buf.first(dim);
+  const auto gfeat = buf.subspan(dim, feat);
+  const auto ginput = buf.subspan(dim + feat, 2 * dim);
 
-  // dLoss/dz = dLoss/dv = g * e_out (linear FC head).
-  std::vector<float> gz(static_cast<size_t>(dim));
-  for (int32_t d = 0; d < dim; ++d) {
-    const size_t k = static_cast<size_t>(d);
-    gz[k] = g * out_v[k];
-  }
+  // dLoss/dz = g * e_out (linear FC head), from the pre-update row.
+  const auto out_v = entities_.Row(e_out);
+  for (size_t k = 0; k < dim; ++k) gz[k] = g * out_v[k];
   // Output entity & bias (weight-decayed: the dense stack otherwise drifts
-  // without batch-norm).
-  for (int32_t d = 0; d < dim; ++d) {
-    const size_t k = static_cast<size_t>(d);
-    entities_.Update(e_out, d, g * fwd.v[k] + decay * out_v[k], lr);
-  }
+  // without batch-norm). The output row steps before the input row, which
+  // is the same row for a self-loop.
+  entities_.UpdateDense(e_out, {&g, 1}, fwd.z, decay, lr);
   entity_bias_.Update(e_out, 0, g, lr);
 
-  // FC layer: z = fc^T feat + b.
-  std::vector<float> gfeat(static_cast<size_t>(feat_size_), 0.0f);
-  for (int32_t i = 0; i < feat_size_; ++i) {
-    const float fi = fwd.feat[static_cast<size_t>(i)];
-    const auto w = fc_.Row(i);
-    float acc = 0.0f;
-    for (int32_t d = 0; d < dim; ++d) {
-      const size_t k = static_cast<size_t>(d);
-      acc += w[k] * gz[k];
-      fc_.Update(i, d, fi * gz[k] + decay * w[k], lr);
-    }
-    gfeat[static_cast<size_t>(i)] = acc;
-  }
-  for (int32_t d = 0; d < dim; ++d) {
-    fc_bias_.Update(0, d, gz[static_cast<size_t>(d)], lr);
-  }
+  // FC layer: z = fc^T feat + b; gfeat comes from the pre-update weights.
+  fc_.UpdateDense(0, fwd.feat, gz, decay, lr, gfeat);
+  fc_bias_.UpdateRow(0, gz, lr);
 
-  // Conv layer.
-  const int32_t in_h = 2 * grid_h_;
-  const int32_t in_w = kGridWidth;
-  std::vector<float> ginput(static_cast<size_t>(in_h * in_w), 0.0f);
+  // Conv layer. Positions step one after another: each reads the kernel
+  // the previous position just updated.
+  std::fill(ginput.begin(), ginput.end(), 0.0f);
+  const size_t plane = static_cast<size_t>(out_h_ * out_w_);
   for (int32_t f = 0; f < kFilters; ++f) {
     const auto kernel = kernels_.Row(f);
     float gbias = 0.0f;
     for (int32_t oy = 0; oy < out_h_; ++oy) {
       for (int32_t ox = 0; ox < out_w_; ++ox) {
-        const size_t idx =
-            static_cast<size_t>((f * out_h_ + oy) * out_w_ + ox);
+        const size_t idx = static_cast<size_t>(f) * plane +
+                           static_cast<size_t>(oy * out_w_ + ox);
         if (fwd.pre[idx] <= 0) continue;
         const float gpre = gfeat[idx];
         if (gpre == 0.0f) continue;
         gbias += gpre;
+        float window[kKernel * kKernel];
         for (int32_t ky = 0; ky < kKernel; ++ky) {
           for (int32_t kx = 0; kx < kKernel; ++kx) {
+            const size_t tap = static_cast<size_t>(ky * kKernel + kx);
             const size_t in_idx =
-                static_cast<size_t>((oy + ky) * in_w + ox + kx);
-            // Propagate through the pre-update kernel value, then step it.
-            ginput[in_idx] += gpre * kernel[static_cast<size_t>(
-                                          ky * kKernel + kx)];
-            kernels_.Update(f, ky * kKernel + kx,
-                            gpre * fwd.input[in_idx], lr);
+                static_cast<size_t>((oy + ky) * kGridWidth + ox + kx);
+            // Propagate through the pre-update kernel value.
+            ginput[in_idx] += gpre * kernel[tap];
+            window[tap] = fwd.input[in_idx];
           }
         }
+        kernels_.UpdateRow(f, window, lr, gpre);
       }
     }
     conv_bias_.Update(0, f, gbias, lr);
@@ -187,11 +161,8 @@ void ConvE::Step(EntityId e_in, int32_t relation_row, EntityId e_out, float g,
 
   // Input grid gradients flow to the input entity (top half) and the
   // relation embedding (bottom half).
-  for (int32_t j = 0; j < dim; ++j) {
-    entities_.Update(e_in, j, ginput[static_cast<size_t>(j)], lr);
-    relations_.Update(relation_row, j, ginput[static_cast<size_t>(dim + j)],
-                      lr);
-  }
+  entities_.UpdateRow(e_in, ginput.first(dim), lr);
+  relations_.UpdateRow(relation_row, ginput.subspan(dim), lr);
 }
 
 void ConvE::ApplyGradient(const Triple& triple, float d_loss_d_score,
@@ -239,9 +210,8 @@ bool ConvE::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
 
 void ConvE::BuildSweepQuery(bool tails, RelationId r, EntityId anchor,
                             std::span<float> q) const {
-  Forward fwd;
-  RunForward(anchor, tails ? r : num_relations_ + r, fwd);
-  for (size_t j = 0; j < fwd.v.size(); ++j) q[j] = fwd.v[j];
+  const Forward fwd = RunForward(anchor, tails ? r : num_relations_ + r);
+  std::copy(fwd.z.begin(), fwd.z.end(), q.begin());
 }
 
 void ConvE::Serialize(BinaryWriter& writer) const {

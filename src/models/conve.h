@@ -5,10 +5,12 @@
 // back to embedding space; the score is the dot product with the tail
 // embedding plus a per-entity bias:
 //
-//   score(h, r, t) = ReLU(vec(ReLU(conv([h~; r~]))) W) . t + b_t
+//   score(h, r, t) = (vec(ReLU(conv([h~; r~]))) W + b) . t + b_t
 //
 // Deviations from the original (documented in DESIGN.md): no batch-norm or
-// dropout (we train small models where neither is load-bearing), 8 filters.
+// dropout (we train small models where neither is load-bearing), 8 filters,
+// and a linear FC head (without batch-norm a second ReLU collapses to dead
+// units under SGD).
 // As in the reference implementation, head prediction uses reciprocal
 // relations: the model owns 2|R| relation embeddings and scores (?, r, t) as
 // tail prediction under r_inverse. Training applies each example in both
@@ -20,7 +22,7 @@
 #ifndef KGC_MODELS_CONVE_H_
 #define KGC_MODELS_CONVE_H_
 
-#include <vector>
+#include <span>
 
 #include "models/model.h"
 
@@ -49,18 +51,19 @@ class ConvE final : public KgeModel {
   static constexpr int32_t kGridWidth = 4;
 
  private:
+  // Views into this thread's scratch slot 1 (vec::GetScratch), valid until
+  // the thread next uses that slot, e.g. by the next RunForward.
   struct Forward {
-    std::vector<float> input;  // (2*grid_h) x grid_w
-    std::vector<float> pre;    // conv pre-activations, filters x oh x ow
-    std::vector<float> feat;   // ReLU(pre)
-    std::vector<float> z;      // FC pre-activations, dim
-    std::vector<float> v;      // ReLU(z)
+    std::span<float> input;  // (2*grid_h) x grid_w
+    std::span<float> pre;    // conv pre-activations, filters x oh x ow
+    std::span<float> feat;   // ReLU(pre)
+    std::span<float> z;      // FC output (the linear head), dim
   };
 
-  // Runs the conv stack for (entity_row, relation_row) producing v.
-  void RunForward(EntityId e, int32_t relation_row, Forward& fwd) const;
+  // Runs the conv stack for (entity_row, relation_row) producing z.
+  Forward RunForward(EntityId e, int32_t relation_row) const;
 
-  // One SGD step for score = v(e_in, rel_row) . e_out + b[e_out].
+  // One training step for score = z(e_in, rel_row) . e_out + b[e_out].
   void Step(EntityId e_in, int32_t relation_row, EntityId e_out, float g,
             float lr);
 

@@ -103,6 +103,24 @@ class EmbeddingTable {
     }
   }
 
+  /// Dense-layer step over rows [first, first + x.size()): element (i, k)
+  /// takes the gradient x[i] * gy[k] + decay * param[i][k] (its value before
+  /// this call), clipped and applied exactly as Update does. A non-empty
+  /// `gx` receives sum_k param[i][k] * gy[k] over the pre-update rows.
+  void UpdateDense(int64_t first, std::span<const float> x,
+                   std::span<const float> gy, float decay, float lr,
+                   std::span<float> gx = {}) {
+    KGC_DCHECK(static_cast<int64_t>(gy.size()) == dim_);
+    KGC_DCHECK(first >= 0 &&
+               first + static_cast<int64_t>(x.size()) <= rows_);
+    KGC_DCHECK(gx.empty() || gx.size() == x.size());
+    const size_t base = static_cast<size_t>(first * dim_);
+    float* acc = adagrad_.empty() ? nullptr : adagrad_.data() + base;
+    vec::Ops().dense_update_rows(data_.data() + base, acc, x.data(), gy.data(),
+                                 decay, x.size(), static_cast<size_t>(dim_),
+                                 lr, gx.empty() ? nullptr : gx.data());
+  }
+
   /// Raw parameter access (serialization, tests).
   const AlignedVector<float>& data() const { return data_; }
   AlignedVector<float>& mutable_data() { return data_; }

@@ -1,5 +1,6 @@
 #include "models/tucker.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/vecmath.h"
@@ -32,33 +33,26 @@ TuckER::TuckER(int32_t num_entities, int32_t num_relations,
 void TuckER::ContractHeadRelation(std::span<const float> h,
                                   std::span<const float> r,
                                   std::span<float> u) const {
-  const auto w = core_.Row(0);
   const size_t de = static_cast<size_t>(dim_e_);
-  for (size_t c = 0; c < de; ++c) u[c] = 0.0f;
-  for (int32_t a = 0; a < dim_e_; ++a) {
-    const float ha = h[static_cast<size_t>(a)];
-    if (ha == 0.0f) continue;
-    for (int32_t b = 0; b < dim_r_; ++b) {
-      const float hr = ha * r[static_cast<size_t>(b)];
-      vec::Axpy(hr, w.data() + CoreIndex(a, b, 0), u.data(), de);
-    }
-  }
+  std::fill_n(u.data(), de, 0.0f);
+  // One pass over the core: u += (h_a r_b) W_ab for every (a, b) in order.
+  vec::Ops().outer_axpy_rows(h.data(), de, r.data(),
+                             static_cast<size_t>(dim_r_), core_.raw(), de,
+                             u.data());
 }
 
 void TuckER::ContractRelationTail(std::span<const float> r,
                                   std::span<const float> t,
                                   std::span<float> v) const {
-  const auto w = core_.Row(0);
   const size_t de = static_cast<size_t>(dim_e_);
   const size_t dr = static_cast<size_t>(dim_r_);
-  // For each a the b-rows of W are contiguous: one dot_rows sweep gives
-  // inner_b = sum_c W_abc t_c, then v_a = r . inner.
-  auto inner = vec::GetScratch(dr, 1);
-  for (int32_t a = 0; a < dim_e_; ++a) {
-    vec::Ops().dot_rows(t.data(), w.data() + CoreIndex(a, 0, 0), dr, de, de,
-                        inner.data());
-    v[static_cast<size_t>(a)] =
-        static_cast<float>(vec::Dot(r.data(), inner.data(), dr));
+  // The (a, b) rows of W are contiguous: one dot_rows sweep gives
+  // inner_ab = sum_c W_abc t_c, then v_a = r . inner_a.
+  const auto& ops = vec::Ops();
+  auto inner = vec::GetScratch(de * dr, 1);
+  ops.dot_rows(t.data(), core_.raw(), de * dr, de, de, inner.data());
+  for (size_t a = 0; a < de; ++a) {
+    v[a] = static_cast<float>(ops.dot(r.data(), inner.data() + a * dr, dr));
   }
 }
 
@@ -86,49 +80,32 @@ void TuckER::ApplyGradient(const Triple& triple, float d_loss_d_score,
   // inner loop of TuckER training tight:
   //   inner_ab = sum_c W_abc t_c   ->  v_a = sum_b r_b inner_ab,
   //                                    q_b = sum_a h_a inner_ab,
-  // and the core gradient W_abc -= lr g h_a r_b t_c is applied with direct
-  // array arithmetic (the core never uses AdaGrad).
+  // and the core gradient W_abc -= lr g h_a r_b t_c is one plain-SGD kernel
+  // pass (the core never uses AdaGrad).
   auto u = vec::GetScratch(de, 0);  // dScore/dt
   auto v = vec::GetScratch(de, 2);  // dScore/dh
   auto q = vec::GetScratch(dr, 3);  // dScore/dr
   ContractHeadRelation(hv, rv, u);
   {
-    const auto w = core_.Row(0);
-    auto inner = vec::GetScratch(dr, 4);
-    for (size_t b = 0; b < dr; ++b) q[b] = 0.0f;
-    for (int32_t a = 0; a < dim_e_; ++a) {
-      const float ha = hv[static_cast<size_t>(a)];
-      vec::Ops().dot_rows(tv.data(), w.data() + CoreIndex(a, 0, 0), dr, de,
-                          de, inner.data());
-      v[static_cast<size_t>(a)] =
-          static_cast<float>(vec::Dot(rv.data(), inner.data(), dr));
-      for (size_t b = 0; b < dr; ++b) {
-        q[b] += static_cast<float>(ha * inner[b]);
-      }
+    const auto& ops = vec::Ops();
+    auto inner = vec::GetScratch(de * dr, 4);
+    ops.dot_rows(tv.data(), core_.raw(), de * dr, de, de, inner.data());
+    std::fill_n(q.data(), dr, 0.0f);
+    for (size_t a = 0; a < de; ++a) {
+      const float* inner_a = inner.data() + a * dr;
+      v[a] = static_cast<float>(ops.dot(rv.data(), inner_a, dr));
+      for (size_t b = 0; b < dr; ++b) q[b] += hv[a] * inner_a[b];
     }
   }
 
-  // Core gradient: dScore/dW_abc = h_a r_b t_c.
-  {
-    float* w = core_.mutable_data().data();
-    for (int32_t a = 0; a < dim_e_; ++a) {
-      const float ha = hv[static_cast<size_t>(a)];
-      if (ha == 0.0f) continue;
-      for (int32_t b = 0; b < dim_r_; ++b) {
-        const float scale = lr * g * ha * rv[static_cast<size_t>(b)];
-        vec::Axpy(-scale, tv.data(), w + CoreIndex(a, b, 0), de);
-      }
-    }
-  }
-  auto ge = vec::GetScratch(de, 5);
-  for (size_t a = 0; a < de; ++a) ge[a] = g * v[a] + decay * hv[a];
-  entities_.UpdateRow(triple.head, ge, lr);
-  // The tail gradient reads the (possibly just-updated) head row alias.
-  for (size_t a = 0; a < de; ++a) ge[a] = g * u[a] + decay * tv[a];
-  entities_.UpdateRow(triple.tail, ge, lr);
-  auto gr = vec::GetScratch(dr, 4);
-  for (size_t b = 0; b < dr; ++b) gr[b] = g * q[b] + decay * rv[b];
-  relations_.UpdateRow(triple.relation, gr, lr);
+  // Core gradient: dScore/dW_abc = h_a r_b t_c, one pass over the core.
+  vec::Ops().outer_update_rows(hv.data(), de, rv.data(), dr, lr * g,
+                               tv.data(), core_.mutable_data().data(), de);
+  // Weight-decayed steps g * dScore + decay * row. The tail step reads the
+  // (possibly just-updated) head row alias.
+  entities_.UpdateDense(triple.head, {&g, 1}, v, decay, lr);
+  entities_.UpdateDense(triple.tail, {&g, 1}, u, decay, lr);
+  relations_.UpdateDense(triple.relation, {&g, 1}, q, decay, lr);
 }
 
 void TuckER::ScoreTails(EntityId h, RelationId r, std::span<float> out) const {

@@ -33,13 +33,6 @@ class TuckER final : public KgeModel {
   Status Deserialize(BinaryReader& reader) override;
 
  private:
-  // W index helper: W[a][b][c] with a,c in [0,de), b in [0,dr).
-  size_t CoreIndex(int32_t a, int32_t b, int32_t c) const {
-    return (static_cast<size_t>(a) * static_cast<size_t>(dim_r_) +
-            static_cast<size_t>(b)) * static_cast<size_t>(dim_e_) +
-           static_cast<size_t>(c);
-  }
-
   // u_c = sum_{ab} W_abc h_a r_b.
   void ContractHeadRelation(std::span<const float> h, std::span<const float> r,
                             std::span<float> u) const;

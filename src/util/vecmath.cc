@@ -26,23 +26,26 @@ bool CpuSupportsNative() {
 #endif
 }
 
+// Native wherever it runs; KGC_KERNEL=generic is the override.
 const KernelOps* ResolveFromEnv() {
+  const KernelOps* best =
+      NativeKernelsAvailable() ? GetNativeOpsImpl() : GetGenericOpsImpl();
   const char* env = std::getenv("KGC_KERNEL");
-  if (env == nullptr || env[0] == '\0' || std::strcmp(env, "generic") == 0) {
-    return GetGenericOpsImpl();
-  }
+  if (env == nullptr || env[0] == '\0') return best;
+  if (std::strcmp(env, "generic") == 0) return GetGenericOpsImpl();
   if (std::strcmp(env, "native") == 0) {
-    if (NativeKernelsAvailable()) return GetNativeOpsImpl();
-    std::fprintf(stderr,
-                 "[kgc] KGC_KERNEL=native requested but native kernels are "
-                 "unavailable on this build/CPU; using generic kernels\n");
-    return GetGenericOpsImpl();
+    if (best != GetNativeOpsImpl()) {
+      std::fprintf(stderr,
+                   "[kgc] KGC_KERNEL=native requested but native kernels are "
+                   "unavailable on this build/CPU; using generic kernels\n");
+    }
+    return best;
   }
   std::fprintf(stderr,
                "[kgc] unknown KGC_KERNEL value \"%s\" (expected \"generic\" "
-               "or \"native\"); using generic kernels\n",
-               env);
-  return GetGenericOpsImpl();
+               "or \"native\"); using %s kernels\n",
+               env, best->name);
+  return best;
 }
 
 std::atomic<const KernelOps*> g_active{nullptr};

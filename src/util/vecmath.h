@@ -10,18 +10,26 @@
 // thread count, dispatch path, or call site — so kernel results are
 // bit-identical run to run and across KGC_THREADS. Element-wise kernels
 // (axpy, scale, hadamard, row updates) have no reduction and are trivially
-// deterministic.
+// deterministic. The training kernels (outer_*, conv2d_relu,
+// dense_update_rows) keep the element order of the scalar loops they
+// replaced, including dense's sequential float sums, so trained models are
+// the same bits as well. A NaN result is NaN on every path, but its sign
+// and payload are not pinned: IEEE 754 leaves them open, and the compiler
+// may commute operands or fold a negation that picks them.
 //
 // Dispatch
 // --------
 // Two translation units compile the same kernel source: a generic TU
-// (baseline ISA) and, where the toolchain and CPU support it, a
-// -march=x86-64-v3 TU (AVX2). Both are built with -ffp-contract=off so
-// neither can fuse multiply-adds, which is what makes the two paths agree
-// bit-exactly: wider registers only evaluate more lanes at once, they never
-// change any lane's operation sequence. Dispatch is opt-in via the
-// KGC_KERNEL environment variable ("generic", the default, or "native"),
-// resolved once on first use; tests pin both paths' agreement.
+// (baseline ISA) and, where the toolchain supports it, a -march=x86-64-v3
+// TU (AVX2). Both are built with -ffp-contract=off so neither can fuse
+// multiply-adds, which is what makes the two paths agree bit-exactly: wider
+// registers only evaluate more lanes at once, they never change any lane's
+// operation sequence. Both also take -fno-math-errno -fno-trapping-math,
+// which cannot change a value (sqrt still rounds correctly, it just skips
+// the errno fallback; no trap is ever enabled) but let sqrt and the
+// gradient clip vectorize. The native table is the default wherever the
+// CPU supports x86-64-v3; KGC_KERNEL=generic overrides it, resolved once
+// on first use. Tests pin both paths' agreement.
 //
 // Scratch
 // -------
@@ -145,6 +153,28 @@ struct KernelOps {
   void (*complex_hadamard)(const float* a, const float* b, size_t half_dim,
                            bool conj_a, float* out);
 
+  /// Row accumulation with outer-product coefficients over na * nb rows of
+  /// n floats: for a in order, skipping x[a] == 0, and b in order,
+  /// y[j] += (x[a] * s[b]) * row_{a*nb+b}[j]. The same float operations,
+  /// in the same order per y[j], as one axpy call per row (TuckER's core
+  /// contraction; with nb = 1, s = {1}, ConvE's FC forward).
+  void (*outer_axpy_rows)(const float* x, size_t na, const float* s,
+                          size_t nb, const float* rows, size_t n, float* y);
+
+  /// Rank-one row update in the same (a, b) walk and x[a] == 0 skip:
+  /// row_{a*nb+b}[j] += -(alpha * x[a] * s[b]) * t[j] (TuckER's core step).
+  void (*outer_update_rows)(const float* x, size_t na, const float* s,
+                            size_t nb, float alpha, const float* t,
+                            float* rows, size_t n);
+
+  /// Valid, stride-1 convolution of nf k x k filters over an in_h x in_w
+  /// grid (ConvE), taps given tap-major in double: taps[(ky*k + kx)*nf + f].
+  /// Output (f, oy, ox), filter-major, is bias[f] plus the taps in (ky, kx)
+  /// order, summed in double; pre takes it as float and feat its ReLU.
+  void (*conv2d_relu)(const float* in, size_t in_h, size_t in_w,
+                      const double* taps, const double* bias, size_t nf,
+                      size_t k, float* pre, float* feat);
+
   /// Fused SGD row update: p[j] -= lr * clamp(gscale * g[j], ±5), matching
   /// EmbeddingTable::Update element for element.
   void (*sgd_update_row)(float* p, const float* g, float gscale, size_t n,
@@ -154,13 +184,24 @@ struct KernelOps {
   /// acc[j] += gc^2; p[j] -= lr * gc / sqrt(acc[j] + 1e-8f).
   void (*adagrad_update_row)(float* p, float* acc, const float* g,
                              float gscale, size_t n, float lr);
+
+  /// Dense-layer step over m rows of n floats: row i takes the SGD
+  /// (acc == nullptr) or AdaGrad step of the gradient
+  /// x[i] * gy[k] + decay * w_i[k] (its pre-update value), element for
+  /// element EmbeddingTable::Update's arithmetic. Unless gx is null,
+  /// gx[i] = sum_k w_i[k] * gy[k] over the pre-update row, summed in float
+  /// in k order.
+  void (*dense_update_rows)(float* w, float* acc, const float* x,
+                            const float* gy, float decay, size_t m, size_t n,
+                            float lr, float* gx);
 };
 
 enum class KernelPath { kGeneric = 0, kNative = 1 };
 
-/// The active kernel table. Resolved once from KGC_KERNEL ("generic"
-/// default; "native" opts into the -march TU when compiled in and the CPU
-/// supports it, falling back to generic with a warning otherwise).
+/// The active kernel table, resolved once on first use: the native
+/// (-march) table when it was compiled in and the CPU supports it, else
+/// generic. KGC_KERNEL=generic forces the generic table; KGC_KERNEL=native
+/// warns when native is unavailable.
 const KernelOps& Ops();
 
 /// True when the -march TU was compiled in and this CPU can run it.

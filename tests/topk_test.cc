@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "datagen/presets.h"
@@ -186,11 +187,13 @@ TEST_P(TopKModelTest, KernelPathInvariance) {
   options.tile_rows = 32;
   const TopKEngine engine(*model, options);
 
+  const bool was_native = std::strcmp(vec::Ops().name, "native") == 0;
   vec::SetKernelPathForTest(vec::KernelPath::kGeneric);
   const auto generic = engine.Run(queries, &filter);
   vec::SetKernelPathForTest(vec::KernelPath::kNative);
   const auto native = engine.Run(queries, &filter);
-  vec::SetKernelPathForTest(vec::KernelPath::kGeneric);
+  vec::SetKernelPathForTest(was_native ? vec::KernelPath::kNative
+                                       : vec::KernelPath::kGeneric);
   ExpectResultsEqual(native, generic, "kernel path");
 }
 

@@ -2,16 +2,79 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "datagen/presets.h"
 #include "models/trainer.h"
+#include "util/crc32.h"
 #include "util/deadline.h"
 #include "util/file_util.h"
+#include "util/serialize.h"
+#include "util/vecmath.h"
 
 namespace kgc {
 namespace {
+
+// Golden CRC-32s of each model's serialized parameters (optimizer state
+// included) after two epochs of its default training, recorded before the
+// fused ConvE/TuckER training kernels replaced the scalar update loops. Any
+// change to the arithmetic or the order of a training update moves one of
+// these, on either kernel path.
+TEST(TrainerTest, TrainedParametersMatchGoldenCrcs) {
+  SyntheticKg kg = GenerateTiny(5);
+  // A self-loop pins the update order when both sides share one entity row
+  // (ConvE updates its output entity before its input entity).
+  kg.dataset.mutable_train().push_back(Triple{3, 0, 3});
+  kg.dataset.InvalidateCaches();
+
+  struct Golden {
+    ModelType type;
+    bool adagrad;
+    uint32_t crc;
+  };
+  const Golden kGolden[] = {
+      {ModelType::kTransE, false, 0xba688e62},
+      {ModelType::kTransH, false, 0x74ba74b3},
+      {ModelType::kTransR, false, 0xb0d94f57},
+      {ModelType::kTransD, false, 0x20c4fe20},
+      {ModelType::kRescal, true, 0x0a285c8a},
+      {ModelType::kDistMult, false, 0x58def5b2},
+      {ModelType::kComplEx, false, 0xd9df158c},
+      {ModelType::kRotatE, false, 0xd55bcaca},
+      {ModelType::kTuckER, true, 0x11d15aea},
+      {ModelType::kConvE, true, 0xff476762},
+      {ModelType::kConvE, false, 0xe85d4cc1},
+  };
+
+  const bool was_native = std::strcmp(vec::Ops().name, "native") == 0;
+  for (const vec::KernelPath path :
+       {vec::KernelPath::kGeneric, vec::KernelPath::kNative}) {
+    vec::SetKernelPathForTest(path);
+    for (const Golden& golden : kGolden) {
+      ModelHyperParams params = DefaultHyperParams(golden.type);
+      params.dim = 8;
+      params.adagrad = golden.adagrad;
+      auto model = CreateModel(golden.type, kg.dataset.num_entities(),
+                               kg.dataset.num_relations(), params);
+      TrainOptions options = DefaultTrainOptions(golden.type);
+      options.epochs = 2;
+      options.seed = 9;
+      TrainModel(*model, kg.dataset, options);
+      BinaryWriter writer;
+      model->Serialize(writer);
+      const uint32_t crc =
+          Crc32(writer.buffer().data(), writer.buffer().size());
+      EXPECT_EQ(crc, golden.crc)
+          << ModelTypeName(golden.type) << " adagrad=" << golden.adagrad
+          << " path=" << vec::Ops().name << " crc=0x" << std::hex << crc;
+    }
+  }
+  vec::SetKernelPathForTest(was_native ? vec::KernelPath::kNative
+                                       : vec::KernelPath::kGeneric);
+}
 
 TEST(TrainerTest, LossDecreasesOnLearnableData) {
   const SyntheticKg kg = GenerateTiny(5);

@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
+#include "models/embedding.h"
 #include "util/aligned.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace kgc {
 namespace {
@@ -63,6 +68,82 @@ double RefL2(const float* q, const float* row, size_t n) {
 }
 
 float RefClip(float g) { return g > 5.0f ? 5.0f : (g < -5.0f ? -5.0f : g); }
+
+// Every dispatch path this build and CPU can run.
+std::vector<const vec::KernelOps*> AllPaths() {
+  std::vector<const vec::KernelOps*> paths = {
+      &vec::OpsFor(vec::KernelPath::kGeneric)};
+  if (vec::NativeKernelsAvailable()) {
+    paths.push_back(&vec::OpsFor(vec::KernelPath::kNative));
+  }
+  return paths;
+}
+
+// Bit-pattern equality, signed zeros and NaN payloads included. With
+// `open_nans`, two NaNs only have to be NaN: IEEE 754 leaves the sign and
+// payload of a NaN result open, and once a kernel can meet two different
+// NaNs (inf - inf next to a NaN input) or negate one, which it gets depends
+// on how the compiler ordered commutative operands or folded the negation.
+void ExpectSameBits(float expected, float actual, const char* what, size_t i,
+                    bool open_nans = false) {
+  if (open_nans && std::isnan(expected) && std::isnan(actual)) return;
+  EXPECT_EQ(std::bit_cast<uint32_t>(expected), std::bit_cast<uint32_t>(actual))
+      << what << "[" << i << "]: expected " << expected << ", got " << actual;
+}
+
+void ExpectSameBits(std::span<const float> expected,
+                    std::span<const float> actual, const char* what,
+                    bool open_nans = false) {
+  ASSERT_EQ(expected.size(), actual.size()) << what;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ExpectSameBits(expected[i], actual[i], what, i, open_nans);
+  }
+}
+
+// Gradient values the update kernels must treat exactly as the scalar
+// EmbeddingTable::Update does: the clip bounds, infinities, NaN, signed
+// zeros and subnormals.
+const float kEdgeValues[] = {
+    5.0f,
+    -5.0f,
+    std::numeric_limits<float>::infinity(),
+    -std::numeric_limits<float>::infinity(),
+    std::numeric_limits<float>::quiet_NaN(),
+    -0.0f,
+    0.0f,
+    std::numeric_limits<float>::denorm_min(),
+    -std::numeric_limits<float>::denorm_min(),
+    1e-40f,
+    -3e-39f,
+};
+
+// Random values in [lo, hi) with the edge values planted at the front.
+std::vector<float> EdgeVector(Rng& rng, size_t n, double lo, double hi) {
+  std::vector<float> v = RandomVector(rng, n, lo, hi);
+  for (size_t i = 0; i < n && i < std::size(kEdgeValues); ++i) {
+    v[i] = kEdgeValues[i];
+  }
+  return v;
+}
+
+// Runs `fn` with `path` as the active kernel table, then restores the
+// table that was active before.
+template <typename Fn>
+void WithKernelPath(const vec::KernelOps* path, Fn fn) {
+  const bool was_native = std::strcmp(vec::Ops().name, "native") == 0;
+  vec::SetKernelPathForTest(std::strcmp(path->name, "native") == 0
+                                ? vec::KernelPath::kNative
+                                : vec::KernelPath::kGeneric);
+  fn();
+  vec::SetKernelPathForTest(was_native ? vec::KernelPath::kNative
+                                       : vec::KernelPath::kGeneric);
+}
+
+std::vector<uint8_t> TableBytes(const EmbeddingTable& table) {
+  BinaryWriter writer;
+  table.Serialize(writer);
+  return writer.buffer();
+}
 
 // Reductions accumulate in double with a fixed lane order that differs from
 // the reference's serial order, so compare with a tolerance scaled to the
@@ -233,31 +314,260 @@ TEST(VecMathTest, ComplexHadamardIsBitExact) {
 
 TEST(VecMathTest, UpdateRowsMatchReferenceBitExactly) {
   Rng rng(8);
-  const auto& ops = vec::Ops();
   const float lr = 0.05f;
-  for (size_t n : kDims) {
-    for (float gscale : {1.0f, -1.0f, 0.75f}) {
-      const auto p0 = RandomVector(rng, n);
-      // Large gradients so the ±5 clip actually fires on some elements.
-      const auto g = RandomVector(rng, n, -8.0, 8.0);
+  for (const vec::KernelOps* ops : AllPaths()) {
+    SCOPED_TRACE(ops->name);
+    for (size_t n : kDims) {
+      for (float gscale : {1.0f, -1.0f, 0.75f}) {
+        auto p0 = RandomVector(rng, n);
+        p0[n - 1] = -0.0f;
+        // Large gradients so the ±5 clip fires too, plus the edge values.
+        const auto g = EdgeVector(rng, n, -8.0, 8.0);
 
-      std::vector<float> p = p0;
-      ops.sgd_update_row(p.data(), g.data(), gscale, n, lr);
-      for (size_t j = 0; j < n; ++j) {
-        EXPECT_EQ(p[j], p0[j] - lr * RefClip(gscale * g[j]));
-      }
+        std::vector<float> p = p0;
+        ops->sgd_update_row(p.data(), g.data(), gscale, n, lr);
+        for (size_t j = 0; j < n; ++j) {
+          ExpectSameBits(p0[j] - lr * RefClip(gscale * g[j]), p[j], "sgd", j);
+        }
 
-      p = p0;
-      const auto acc0 = RandomVector(rng, n, 0.0, 1.0);
-      std::vector<float> acc = acc0;
-      ops.adagrad_update_row(p.data(), acc.data(), g.data(), gscale, n, lr);
-      for (size_t j = 0; j < n; ++j) {
-        const float gc = RefClip(gscale * g[j]);
-        const float a = acc0[j] + gc * gc;
-        EXPECT_EQ(acc[j], a);
-        EXPECT_EQ(p[j], p0[j] - lr * gc / std::sqrt(a + 1e-8f));
+        p = p0;
+        const auto acc0 = RandomVector(rng, n, 0.0, 1.0);
+        std::vector<float> acc = acc0;
+        ops->adagrad_update_row(p.data(), acc.data(), g.data(), gscale, n, lr);
+        for (size_t j = 0; j < n; ++j) {
+          const float gc = RefClip(gscale * g[j]);
+          const float a = acc0[j] + gc * gc;
+          ExpectSameBits(a, acc[j], "adagrad acc", j);
+          ExpectSameBits(p0[j] - lr * gc / std::sqrt(a + 1e-8f), p[j],
+                         "adagrad", j);
+        }
       }
     }
+  }
+}
+
+// The fused row updates equal a loop of scalar EmbeddingTable::Update calls
+// element for element, on both paths and with both optimizers.
+TEST(VecMathTest, UpdateRowMatchesScalarUpdateLoop) {
+  Rng rng(13);
+  const float lr = 0.05f;
+  for (const vec::KernelOps* ops : AllPaths()) {
+    SCOPED_TRACE(ops->name);
+    for (bool adagrad : {false, true}) {
+      for (size_t n : kDims) {
+        EmbeddingTable scalar(3, static_cast<int64_t>(n));
+        Rng init(n);
+        scalar.InitNormal(init, 1.0);
+        if (adagrad) scalar.EnableAdaGrad();
+        EmbeddingTable fused = scalar;
+        for (int step = 0; step < 3; ++step) {
+          const auto g = EdgeVector(rng, n, -8.0, 8.0);
+          const float gscale = step == 1 ? -0.5f : 1.0f;
+          for (size_t j = 0; j < n; ++j) {
+            scalar.Update(1, static_cast<int64_t>(j), gscale * g[j], lr);
+          }
+          WithKernelPath(ops, [&] { fused.UpdateRow(1, g, lr, gscale); });
+        }
+        EXPECT_EQ(TableBytes(scalar), TableBytes(fused))
+            << "adagrad=" << adagrad << " n=" << n;
+      }
+    }
+  }
+}
+
+// dense_update_rows against ConvE's former scalar FC backward: a float sum
+// over the pre-update row, then one Update per element.
+TEST(VecMathTest, DenseUpdateRowsMatchScalarUpdateLoop) {
+  Rng rng(14);
+  const float lr = 0.03f;
+  const float decay = 1e-3f;
+  for (const vec::KernelOps* ops : AllPaths()) {
+    SCOPED_TRACE(ops->name);
+    for (bool adagrad : {false, true}) {
+      for (size_t m : {1, 7, 8, 9, 19}) {
+        for (size_t n : kDims) {
+          EmbeddingTable scalar(static_cast<int64_t>(m + 2),
+                                static_cast<int64_t>(n));
+          Rng init(m * 1000 + n);
+          scalar.InitNormal(init, 2.0);
+          if (adagrad) scalar.EnableAdaGrad();
+          EmbeddingTable fused = scalar;
+          for (int step = 0; step < 3; ++step) {
+            // Zero, NaN and infinite inputs on x; the edge values on gy.
+            auto x = RandomVector(rng, m, -3.0, 3.0);
+            x[0] = step == 0 ? 0.0f : (step == 1 ? -0.0f : 1.0f);
+            if (m > 2) x[2] = std::numeric_limits<float>::quiet_NaN();
+            if (m > 3) x[3] = std::numeric_limits<float>::infinity();
+            const auto gy = EdgeVector(rng, n, -4.0, 4.0);
+
+            std::vector<float> gx_ref(m);
+            for (size_t i = 0; i < m; ++i) {
+              const int64_t row = static_cast<int64_t>(i) + 1;
+              const auto w = scalar.Row(row);
+              float sum = 0.0f;
+              for (size_t k = 0; k < n; ++k) {
+                sum += w[k] * gy[k];
+                scalar.Update(row, static_cast<int64_t>(k),
+                              x[i] * gy[k] + decay * w[k], lr);
+              }
+              gx_ref[i] = sum;
+            }
+            std::vector<float> gx(m);
+            WithKernelPath(ops, [&] {
+              fused.UpdateDense(1, x, gy, decay, lr, gx);
+            });
+            ExpectSameBits(gx_ref, gx, "gx", /*open_nans=*/true);
+          }
+          EXPECT_EQ(TableBytes(scalar), TableBytes(fused))
+              << "adagrad=" << adagrad << " m=" << m << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+// The scalar loops outer_axpy_rows and outer_update_rows replaced: one
+// axpy per row, rows of zero x skipped.
+void RefOuterAxpyRows(const std::vector<float>& x, const std::vector<float>& s,
+                      const std::vector<float>& rows, size_t n,
+                      std::vector<float>& y) {
+  for (size_t a = 0; a < x.size(); ++a) {
+    if (x[a] == 0.0f) continue;
+    for (size_t b = 0; b < s.size(); ++b) {
+      const float c = x[a] * s[b];
+      for (size_t j = 0; j < n; ++j) {
+        y[j] += c * rows[(a * s.size() + b) * n + j];
+      }
+    }
+  }
+}
+
+void RefOuterUpdateRows(const std::vector<float>& x,
+                        const std::vector<float>& s, float alpha,
+                        const std::vector<float>& t, std::vector<float>& rows) {
+  const size_t n = t.size();
+  for (size_t a = 0; a < x.size(); ++a) {
+    if (x[a] == 0.0f) continue;
+    for (size_t b = 0; b < s.size(); ++b) {
+      const float scale = alpha * x[a] * s[b];
+      for (size_t j = 0; j < n; ++j) {
+        rows[(a * s.size() + b) * n + j] += -scale * t[j];
+      }
+    }
+  }
+}
+
+TEST(VecMathTest, OuterRowKernelsMatchPerRowLoops) {
+  Rng rng(15);
+  for (const vec::KernelOps* ops : AllPaths()) {
+    SCOPED_TRACE(ops->name);
+    // na = 300 crosses the kernel's 256-row live-list chunk.
+    for (size_t na : {size_t{1}, size_t{5}, size_t{300}}) {
+      for (size_t nb : {size_t{1}, size_t{3}}) {
+        for (size_t n : kDims) {
+          auto x = RandomVector(rng, na);
+          for (size_t a = 0; a < na; a += 3) x[a] = 0.0f;  // dead rows
+          if (na > 1) x[1] = -0.0f;
+          if (na > 4) x[4] = std::numeric_limits<float>::quiet_NaN();
+          const auto s = nb == 1 ? std::vector<float>{1.0f}
+                                 : EdgeVector(rng, nb, -2.0, 2.0);
+          auto rows = RandomVector(rng, na * nb * n);
+          if (na > 2) rows[2 * nb * n] = std::numeric_limits<float>::infinity();
+          const auto y0 = EdgeVector(rng, n, -1.0, 1.0);
+
+          std::vector<float> want = y0;
+          RefOuterAxpyRows(x, s, rows, n, want);
+          std::vector<float> got = y0;
+          ops->outer_axpy_rows(x.data(), na, s.data(), nb, rows.data(), n,
+                               got.data());
+          ExpectSameBits(want, got, "outer_axpy_rows", /*open_nans=*/true);
+
+          const auto t = EdgeVector(rng, n, -1.0, 1.0);
+          std::vector<float> want_rows = rows;
+          RefOuterUpdateRows(x, s, -0.07f, t, want_rows);
+          std::vector<float> got_rows = rows;
+          ops->outer_update_rows(x.data(), na, s.data(), nb, -0.07f, t.data(),
+                                 got_rows.data(), n);
+          ExpectSameBits(want_rows, got_rows, "outer_update_rows",
+                         /*open_nans=*/true);
+        }
+      }
+    }
+  }
+}
+
+// conv2d_relu against ConvE's former scalar convolution: per output, the
+// bias, then every tap in (ky, kx) order, summed in double.
+TEST(VecMathTest, Conv2dReluMatchesScalarConvolution) {
+  Rng rng(16);
+  struct Shape {
+    size_t in_h, in_w, nf, k;
+  };
+  // ConvE's own 16 x 4 grid with 8 filters, a tail of filters past the
+  // 8-lane groups, a 1 x 1 kernel, and more positions than one block.
+  const Shape kShapes[] = {{16, 4, 8, 3}, {5, 7, 11, 3}, {3, 3, 2, 1},
+                           {40, 6, 9, 3}, {6, 6, 8, 5}};
+  for (const vec::KernelOps* ops : AllPaths()) {
+    SCOPED_TRACE(ops->name);
+    for (const Shape& sh : kShapes) {
+      const size_t taps = sh.k * sh.k;
+      const size_t oh = sh.in_h - sh.k + 1;
+      const size_t ow = sh.in_w - sh.k + 1;
+      auto in = RandomVector(rng, sh.in_h * sh.in_w);
+      in[1] = std::numeric_limits<float>::quiet_NaN();
+      in[sh.in_w + 2] = -0.0f;
+      auto kernels = RandomVector(rng, sh.nf * taps, -0.5, 0.5);
+      for (size_t t = 0; t < taps; ++t) kernels[t] = -0.0f;  // filter 0
+      std::vector<double> bias(sh.nf);
+      for (size_t f = 0; f < sh.nf; ++f) bias[f] = rng.UniformDouble(-1, 1);
+      bias[0] = -0.0;
+      std::vector<double> tap_major(taps * sh.nf);
+      for (size_t f = 0; f < sh.nf; ++f) {
+        for (size_t t = 0; t < taps; ++t) {
+          tap_major[t * sh.nf + f] = kernels[f * taps + t];
+        }
+      }
+
+      std::vector<float> want_pre(sh.nf * oh * ow);
+      std::vector<float> want_feat(want_pre.size());
+      for (size_t f = 0; f < sh.nf; ++f) {
+        for (size_t oy = 0; oy < oh; ++oy) {
+          for (size_t ox = 0; ox < ow; ++ox) {
+            double sum = bias[f];
+            for (size_t ky = 0; ky < sh.k; ++ky) {
+              for (size_t kx = 0; kx < sh.k; ++kx) {
+                sum += static_cast<double>(kernels[f * taps + ky * sh.k + kx]) *
+                       in[(oy + ky) * sh.in_w + ox + kx];
+              }
+            }
+            const size_t idx = (f * oh + oy) * ow + ox;
+            want_pre[idx] = static_cast<float>(sum);
+            want_feat[idx] = sum > 0 ? static_cast<float>(sum) : 0.0f;
+          }
+        }
+      }
+      std::vector<float> pre(want_pre.size());
+      std::vector<float> feat(want_pre.size());
+      ops->conv2d_relu(in.data(), sh.in_h, sh.in_w, tap_major.data(),
+                       bias.data(), sh.nf, sh.k, pre.data(), feat.data());
+      ExpectSameBits(want_pre, pre, "pre");
+      ExpectSameBits(want_feat, feat, "feat");
+    }
+
+    // Random sums in double rarely show their order once rounded to float,
+    // so pin it with taps 1 and 2 cancelling at 2^60: in order the bias is
+    // absorbed and only taps 3..8 survive (6 * 0.5 = 3); any other order
+    // ends elsewhere (reversed: 0.5).
+    const std::vector<float> in(9, 1.0f);
+    std::vector<double> taps(9, 0.5);
+    taps[1] = std::ldexp(1.0, 60);
+    taps[2] = -std::ldexp(1.0, 60);
+    const double bias = 1.0;
+    float pre = 0.0f;
+    float feat = 0.0f;
+    ops->conv2d_relu(in.data(), 3, 3, taps.data(), &bias, 1, 3, &pre, &feat);
+    EXPECT_EQ(pre, 3.0f);
+    EXPECT_EQ(feat, 3.0f);
   }
 }
 
@@ -267,12 +577,7 @@ TEST(VecMathTest, UpdateRowsMatchReferenceBitExactly) {
 // dispatch paths, including strided rows and a padded out_stride.
 TEST(VecMathTest, BlockSweepsMatchSingleQueryBitExactly) {
   Rng rng(12);
-  std::vector<const vec::KernelOps*> paths = {
-      &vec::OpsFor(vec::KernelPath::kGeneric)};
-  if (vec::NativeKernelsAvailable()) {
-    paths.push_back(&vec::OpsFor(vec::KernelPath::kNative));
-  }
-  for (const vec::KernelOps* ops : paths) {
+  for (const vec::KernelOps* ops : AllPaths()) {
     for (size_t dim : kDims) {
       const size_t num_rows = 11;
       const size_t num_q = 5;
