@@ -366,28 +366,42 @@ std::vector<TopKQuery> MakeTopKBenchQueries(int32_t num_entities,
 TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
                                     const std::string& label,
                                     std::span<const TopKQuery> queries, int k,
-                                    bool prune, bool cross_check, int reps) {
+                                    bool prune, bool cross_check, int reps,
+                                    const TripleStore* filter,
+                                    size_t queries_per_run) {
   TopKBenchPoint point;
   point.label = label;
   point.num_entities = predictor.num_entities();
   point.num_queries = queries.size();
   point.k = k;
   point.prune = prune;
+  point.filtered = filter != nullptr;
+  point.queries_per_run =
+      queries_per_run > 0 ? std::min(queries_per_run, queries.size())
+                          : queries.size();
 
   TopKOptions options;
   options.k = k;
   options.prune = prune;
   options.threads = 1;  // oracle is serial; compare core-for-core
   const TopKEngine engine(predictor, options);
+  const auto run_all = [&](const TopKEngine& e) {
+    for (size_t begin = 0; begin < queries.size();
+         begin += point.queries_per_run) {
+      e.Run(queries.subspan(begin, std::min(point.queries_per_run,
+                                            queries.size() - begin)),
+            filter);
+    }
+  };
 
   if (cross_check) {
     TopKOptions checked = options;
     checked.cross_check = true;  // aborts on any engine/oracle mismatch
-    TopKEngine(predictor, checked).Run(queries, nullptr);
+    run_all(TopKEngine(predictor, checked));
     point.cross_checked = true;
   }
 
-  // Counter deltas over exactly one engine run (counters are cumulative
+  // Counter deltas over exactly one engine pass (counters are cumulative
   // per process and thread-count independent).
   auto& registry = obs::Registry::Get();
   obs::Counter& tiles = registry.GetCounter(obs::kTopKTilesPruned);
@@ -398,7 +412,7 @@ TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
   const uint64_t scored0 = scored.value();
   const uint64_t pushes0 = pushes.value();
   const uint64_t batched0 = batched.value();
-  engine.Run(queries, nullptr);
+  run_all(engine);
   point.tiles_pruned = tiles.value() - tiles0;
   point.entities_scored = scored.value() - scored0;
   point.heap_pushes = pushes.value() - pushes0;
@@ -410,7 +424,7 @@ TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
 
   for (int rep = 0; rep < reps; ++rep) {
     Stopwatch watch;
-    engine.Run(queries, nullptr);
+    run_all(engine);
     const double seconds = watch.ElapsedSeconds();
     if (rep == 0 || seconds < point.engine_seconds) {
       point.engine_seconds = seconds;
@@ -419,7 +433,7 @@ TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
   for (int rep = 0; rep < reps; ++rep) {
     Stopwatch watch;
     for (const TopKQuery& query : queries) {
-      TopKEngine::OracleTopK(predictor, query, k, nullptr);
+      TopKEngine::OracleTopK(predictor, query, k, filter);
     }
     const double seconds = watch.ElapsedSeconds();
     if (rep == 0 || seconds < point.oracle_seconds) {

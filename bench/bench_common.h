@@ -128,6 +128,8 @@ struct TopKBenchPoint {
   size_t num_queries = 0;
   int k = 0;
   bool prune = true;
+  bool filtered = false;       // scored against a filter store
+  size_t queries_per_run = 0;  // queries per TopKEngine::Run call
   double oracle_seconds = 0;  // best-of-reps, serial OracleTopK per query
   double engine_seconds = 0;  // best-of-reps, TopKEngine threads=1
   double speedup = 0;         // oracle_seconds / engine_seconds
@@ -140,15 +142,20 @@ struct TopKBenchPoint {
   bool cross_checked = false;  // an oracle cross-check run passed
 };
 
-/// Times the engine against the per-query oracle on `queries` (unfiltered),
-/// best-of-`reps` wall clock for each side, engine pinned to one thread so
-/// the comparison is core-for-core. When `cross_check` is set, one extra
-/// (untimed) engine run executes with TopKOptions::cross_check — it aborts
-/// the process on any bit-level disagreement with the oracle.
+/// Times the engine against the per-query oracle on `queries`, best-of-
+/// `reps` wall clock for each side, engine pinned to one thread so the
+/// comparison is core-for-core. `filter` (may be null) is passed to both
+/// sides. The engine gets `queries_per_run` queries per Run call (0: all of
+/// them in one), so per-Run set-up such as the norm index is paid once per
+/// call, as a server pays it once per batch. When `cross_check` is set, one
+/// extra (untimed) engine pass executes with TopKOptions::cross_check — it
+/// aborts the process on any bit-level disagreement with the oracle.
 TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
                                     const std::string& label,
                                     std::span<const TopKQuery> queries, int k,
-                                    bool prune, bool cross_check, int reps);
+                                    bool prune, bool cross_check, int reps,
+                                    const TripleStore* filter = nullptr,
+                                    size_t queries_per_run = 0);
 
 /// Builds the canonical context: cache dir from $KGC_CACHE_DIR (default
 /// "kgc_cache"), default seeds, quiet training logs.

@@ -14,7 +14,9 @@
 //                        exporter off vs running at 100 ms;
 //   - topk:              the TopKEngine fast path vs the full-sweep oracle
 //                        at 100k entities (K ladder, prune on/off, honest
-//                        unit-norm and dot-product rows).
+//                        unit-norm and dot-product rows), plus TransE/H/R/D
+//                        trained like kgc_serve's scale:10000 generation,
+//                        prune on/off, one query per run and all in one.
 //
 // Flags: the telemetry flags (--report/--trace/--log-level) and --topk
 // (run only the topk post-suite section) accept both --flag=value and
@@ -25,23 +27,30 @@
 #include <benchmark/benchmark.h>
 
 #include <time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <thread>
+#include <utility>
 
 #include "bench/bench_common.h"
 #include "datagen/presets.h"
+#include "datagen/streaming.h"
 #include "eval/ranker.h"
+#include "kg/kg_io.h"
 #include "models/model.h"
+#include "models/trainer.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/resource_stats.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 #include "util/vecmath.h"
 
 namespace kgc {
@@ -536,8 +545,77 @@ void RunExporterOverhead(std::ostream& out) {
 
 // --- Top-K retrieval -------------------------------------------------------
 
+/// The pruner on the models it would serve: TransE, TransH, TransR and
+/// TransD trained the way `kgc_serve --bootstrap=scale:10000` trains
+/// generation 0 (the streamed preset at kgc_serve's default --seed, default
+/// hyper-parameters and TrainOptions, 6 epochs), asked filtered top-10
+/// head/tail queries drawn from the test split the way served traffic draws
+/// them. Each model runs prune on and off, once with one query per Run (a
+/// server batch at the serving defaults: the norm index is rebuilt for
+/// every query) and once with all queries in one Run (the index built once:
+/// the pruner's best case). Every row is oracle cross-checked. Appends the
+/// rows to `points`; returns false if the dataset could not be made.
+bool MeasureTrainedTopK(int reps, std::vector<bench::TopKBenchPoint>* points) {
+  constexpr int64_t kScaleEntities = 10000;
+  constexpr uint64_t kSeed = 7;  // kgc_serve's --seed default
+  constexpr int kEpochs = 6;     // kgc_serve's --bootstrap-epochs default
+  constexpr size_t kQueries = 128;
+  constexpr int kK = 10;
+
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("kgc_bench_topk_trained_" + std::to_string(::getpid())))
+          .string();
+  StreamDatagenOptions gen;
+  gen.out_dir = dir;
+  gen.seed = kSeed;
+  gen.write_world = false;  // as kgc_serve: the splits, not the world
+  const auto streamed = StreamDataset(ScaleSpec(kScaleEntities), gen);
+  auto dataset = streamed.ok() ? LoadOpenKeDataset(dir, "scale:10000")
+                               : StatusOr<Dataset>(streamed.status());
+  std::filesystem::remove_all(dir);
+  if (!dataset.ok()) {
+    std::fprintf(stderr, "topk trained rows: %s\n",
+                 dataset.status().ToString().c_str());
+    return false;
+  }
+
+  const TripleList& test = dataset->test();
+  Rng rng(kSeed);
+  std::vector<TopKQuery> queries(kQueries);
+  for (TopKQuery& query : queries) {
+    const Triple& t = test[rng.Uniform(test.size())];
+    query.tails = rng.Bernoulli(0.5);
+    query.relation = t.relation;
+    query.anchor = query.tails ? t.head : t.tail;
+  }
+
+  const std::pair<ModelType, const char*> kModels[] = {
+      {ModelType::kTransE, "transe_trained"},
+      {ModelType::kTransH, "transh_trained"},
+      {ModelType::kTransR, "transr_trained"},
+      {ModelType::kTransD, "transd_trained"}};
+  for (const auto& [type, label] : kModels) {
+    const auto model =
+        CreateModel(type, dataset->num_entities(), dataset->num_relations(),
+                    DefaultHyperParams(type));
+    TrainOptions train;
+    train.epochs = kEpochs;
+    train.seed = kSeed;
+    TrainModel(*model, *dataset, train);
+    for (const size_t per_run : {size_t{1}, kQueries}) {
+      for (const bool prune : {true, false}) {
+        points->push_back(bench::MeasureTopKRetrieval(
+            *model, label, queries, kK, prune, /*cross_check=*/true, reps,
+            &dataset->all_store(), per_run));
+      }
+    }
+  }
+  return true;
+}
+
 /// Times the TopKEngine fast path against the per-query full-sweep oracle
-/// at 100k entities and writes the topk JSON section. Three workloads:
+/// and writes the topk JSON section. Synthetic workloads at 100k entities:
 ///   - clustered_l2: near-duplicate clusters with a log-normal norm spread
 ///     (bench::ClusteredL2Model, the paper's redundancy regime) — the K
 ///     ladder, plus a prune-off row isolating blocking + heap selection;
@@ -545,7 +623,9 @@ void RunExporterOverhead(std::ostream& out) {
 ///     projects to the unit sphere — every norm is 1, the norm bound can
 ///     prune nothing, and the row shows the honest blocking-only speedup
 ///     for trained translational models;
-///   - distmult_dot: a dot-product sweep, never pruned by construction.
+///   - distmult_dot: a dot-product sweep, never pruned by construction;
+/// and the trained models of MeasureTrainedTopK
+/// ({transe,transh,transr,transd}_trained).
 /// Each workload's K=10 row first runs an oracle cross-check (aborts on a
 /// bit-level mismatch). The acceptance target is >= 5x at K=10 on
 /// clustered_l2; a miss is reported but not fatal here — the hard gate
@@ -590,6 +670,7 @@ int RunTopKRetrieval(std::ostream& out) {
         *distmult, "distmult_dot", queries, 10, /*prune=*/true,
         /*cross_check=*/true, kReps));
   }
+  const int rc = MeasureTrainedTopK(kReps, &points) ? 0 : 1;
 
   double headline = 0.0;
   for (const bench::TopKBenchPoint& p : points) {
@@ -605,16 +686,23 @@ int RunTopKRetrieval(std::ostream& out) {
       << "    \"target_speedup_clustered_k10\": " << kTargetSpeedup << ",\n"
       << "    \"headline_speedup_clustered_k10\": " << headline << ",\n"
       << "    \"results\": [\n";
-  std::printf("\ntop-K retrieval (engine threads=1 vs full-sweep oracle, "
-              "%d entities, dim %zu, %zu queries)\n",
+  std::printf("\ntop-K retrieval (engine threads=1 vs full-sweep oracle; "
+              "synthetic rows: %d entities, dim %zu, %zu queries)\n",
               kEntities, kDim, kQueries);
   for (size_t i = 0; i < points.size(); ++i) {
     const bench::TopKBenchPoint& p = points[i];
+    const double engine_us_per_query =
+        p.engine_seconds * 1e6 / static_cast<double>(p.num_queries);
     out << "      {\"workload\": \"" << p.label << "\", \"k\": " << p.k
         << ", \"prune\": " << (p.prune ? "true" : "false")
         << ", \"cross_checked\": " << (p.cross_checked ? "true" : "false")
+        << ", \"num_entities\": " << p.num_entities
+        << ", \"num_queries\": " << p.num_queries
+        << ", \"queries_per_run\": " << p.queries_per_run
+        << ", \"filtered\": " << (p.filtered ? "true" : "false")
         << ", \"oracle_seconds\": " << p.oracle_seconds
         << ", \"engine_seconds\": " << p.engine_seconds
+        << ", \"engine_us_per_query\": " << engine_us_per_query
         << ", \"speedup\": " << p.speedup
         << ", \"tiles_pruned\": " << p.tiles_pruned
         << ", \"entities_scored\": " << p.entities_scored
@@ -622,10 +710,12 @@ int RunTopKRetrieval(std::ostream& out) {
         << ", \"heap_pushes\": " << p.heap_pushes
         << ", \"queries_batched\": " << p.queries_batched << "}"
         << (i + 1 < points.size() ? "," : "") << "\n";
-    std::printf("  %-16s K=%-3d prune=%-3s  oracle %.3fs  engine %.3fs  "
-                "%6.2fx  scored %5.1f%%  tiles_pruned %llu%s\n",
+    std::printf("  %-16s K=%-3d prune=%-3s  run=%-3zu  oracle %.3fs  "
+                "engine %.3fs (%7.1f us/query)  %6.2fx  scored %5.1f%%  "
+                "tiles_pruned %llu%s\n",
                 p.label.c_str(), p.k, p.prune ? "on" : "off",
-                p.oracle_seconds, p.engine_seconds, p.speedup,
+                p.queries_per_run, p.oracle_seconds, p.engine_seconds,
+                engine_us_per_query, p.speedup,
                 p.scored_fraction * 100.0,
                 static_cast<unsigned long long>(p.tiles_pruned),
                 p.cross_checked ? "  [cross-checked]" : "");
@@ -635,7 +725,7 @@ int RunTopKRetrieval(std::ostream& out) {
               "%.1fx: %s)\n",
               headline, kTargetSpeedup,
               headline >= kTargetSpeedup ? "MET" : "MISSED");
-  return 0;
+  return rc;
 }
 
 /// Runs the post-suite sections and composes BENCH_scoring.json. With

@@ -121,6 +121,17 @@ else
       }
       sleep 0.05
     done
+    # READY echoes the resolved serving options: a KGC_SERVE_* knob the
+    # server silently ignored (and so a smoke that never overloads the
+    # queue it thinks it set) fails here.
+    READY_LINE="$(grep '^READY' "${SMOKE_DIR}/serve.log" || true)"
+    for want in queue=2 max_batch=4; do
+      if [[ " ${READY_LINE} " != *" ${want} "* ]]; then
+        echo "FAIL: kgc_serve READY line lacks ${want}: ${READY_LINE}"
+        kill -TERM "${SERVE_PID}" 2>/dev/null || true
+        exit 1
+      fi
+    done
     "${BUILD_DIR}/tools/kgc_load" --socket="${SMOKE_DIR}/s.sock" \
       --snapshot-dir="${SMOKE_DIR}/snap" --connections=8 --duration-s=3 \
       --queries=32 --k=5 --json="${SMOKE_DIR}/overload.json"

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -20,16 +22,37 @@ namespace kgc::serve {
 
 namespace {
 
-int EnvInt(const char* name, int fallback) {
+// KGC_SERVE_* values parse strictly: anything but a whole in-range value
+// keeps the default with one warning, as KGC_KERNEL does, so a typo can
+// neither zero a limit nor flip a switch.
+int EnvInt(const char* name, int fallback, int min) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  return std::atoi(value);
+  const char* end = value + std::strlen(value);
+  int parsed = 0;
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  if (ec == std::errc() && ptr == end && parsed >= min) return parsed;
+  std::fprintf(stderr,
+               "[kgc] ignoring %s=\"%s\" (expected an integer >= %d); "
+               "using %d\n",
+               name, value, min, fallback);
+  return fallback;
 }
 
 bool EnvBool(const char* name, bool fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  return !(std::strcmp(value, "0") == 0 || std::strcmp(value, "false") == 0);
+  if (std::strcmp(value, "1") == 0 || std::strcmp(value, "true") == 0) {
+    return true;
+  }
+  if (std::strcmp(value, "0") == 0 || std::strcmp(value, "false") == 0) {
+    return false;
+  }
+  std::fprintf(stderr,
+               "[kgc] ignoring %s=\"%s\" (expected 0, 1, true or false); "
+               "using %s\n",
+               name, value, fallback ? "true" : "false");
+  return fallback;
 }
 
 // Same failure semantics as the snapshot rotation failpoints: kCrash
@@ -71,15 +94,16 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 ServeOptions ServeOptions::FromEnv() {
   ServeOptions options;
   options.max_connections =
-      EnvInt("KGC_SERVE_MAX_CONNECTIONS", options.max_connections);
-  options.queue_capacity = EnvInt("KGC_SERVE_QUEUE", options.queue_capacity);
-  options.max_batch = EnvInt("KGC_SERVE_MAX_BATCH", options.max_batch);
-  options.linger_us = EnvInt("KGC_SERVE_LINGER_US", options.linger_us);
+      EnvInt("KGC_SERVE_MAX_CONNECTIONS", options.max_connections, 1);
+  options.queue_capacity =
+      EnvInt("KGC_SERVE_QUEUE", options.queue_capacity, 1);
+  options.max_batch = EnvInt("KGC_SERVE_MAX_BATCH", options.max_batch, 1);
+  options.linger_us = EnvInt("KGC_SERVE_LINGER_US", options.linger_us, 0);
   options.default_deadline_ms =
-      EnvInt("KGC_SERVE_DEADLINE_MS", options.default_deadline_ms);
+      EnvInt("KGC_SERVE_DEADLINE_MS", options.default_deadline_ms, 1);
   options.write_timeout_ms =
-      EnvInt("KGC_SERVE_WRITE_TIMEOUT_MS", options.write_timeout_ms);
-  options.max_k = EnvInt("KGC_SERVE_MAX_K", options.max_k);
+      EnvInt("KGC_SERVE_WRITE_TIMEOUT_MS", options.write_timeout_ms, 1);
+  options.max_k = EnvInt("KGC_SERVE_MAX_K", options.max_k, 1);
   options.prune = EnvBool("KGC_SERVE_PRUNE", options.prune);
   options.force_oracle =
       EnvBool("KGC_SERVE_FORCE_ORACLE", options.force_oracle);

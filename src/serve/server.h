@@ -7,8 +7,8 @@
 //
 // Thread layout: one accept thread, one reader thread per connection, one
 // batch thread. Readers decode frames and push PendingRequests into a
-// BoundedQueue; the batch thread pops up to max_batch at a time and scores
-// each batch's top-K queries in a single blocked TopKEngine sweep.
+// BoundedQueue; the batch thread pops whatever is queued (up to max_batch)
+// and scores that batch's top-K queries in one TopKEngine run.
 //
 // Robustness contract (every mode typed, tested, and metered):
 //   overload     full queue => immediate OVERLOADED reply  (kgc.serve.shed)
@@ -56,18 +56,24 @@ struct ServeOptions {
   int max_connections = 64;
   /// Bounded request queue; TryPush failure is the shed path.
   int queue_capacity = 256;
-  /// Requests scored per blocked sweep.
+  /// Most requests popped, and scored in one engine run, per batch.
   int max_batch = 32;
-  /// How long a non-full batch waits for stragglers.
-  int linger_us = 500;
+  /// How long a non-full batch waits for stragglers. 0 scores whatever is
+  /// queued at once: at served rates few requests arrive within a linger,
+  /// and those that do are spread over many (direction, relation) groups,
+  /// so they rarely share a sweep.
+  int linger_us = 0;
   /// Request deadline when the client passes 0.
   int default_deadline_ms = 1000;
   /// Per-reply write budget; overrun drops the client.
   int write_timeout_ms = 2000;
   /// K is clamped to this (and to num_entities).
   int max_k = 1024;
-  /// Norm-bound pruning in the top-K fast path.
-  bool prune = true;
+  /// Norm-bound pruning in the top-K fast path (TopKOptions::prune). Off
+  /// by default: on trained distance models it skips few or no tiles, yet
+  /// every batch rebuilds its norm index (BENCH_scoring.json, topk rows
+  /// "*_trained"). Replies are bit-identical either way.
+  bool prune = false;
   /// Forces the oracle sweep — every OK top-K reply flags degraded.
   bool force_oracle = false;
   /// Seed for classification threshold fitting; kgc_load must use the same
@@ -77,7 +83,9 @@ struct ServeOptions {
   /// Defaults overlaid with KGC_SERVE_MAX_CONNECTIONS, KGC_SERVE_QUEUE,
   /// KGC_SERVE_MAX_BATCH, KGC_SERVE_LINGER_US, KGC_SERVE_DEADLINE_MS,
   /// KGC_SERVE_WRITE_TIMEOUT_MS, KGC_SERVE_MAX_K, KGC_SERVE_PRUNE,
-  /// KGC_SERVE_FORCE_ORACLE.
+  /// KGC_SERVE_FORCE_ORACLE. Integers must be whole decimal values, at
+  /// least 0 for the linger and at least 1 for the rest; booleans are 0, 1,
+  /// true or false. A bad value warns on stderr and keeps the default.
   static ServeOptions FromEnv();
 };
 
@@ -152,9 +160,9 @@ class Server {
   std::unordered_map<int, std::shared_ptr<Connection>> conns_;
   std::vector<std::thread> reader_threads_;
 
-  // Batch-thread caches, rebuilt when the pin moves to a new generation.
+  // Batch-thread cache: the pinned generation's classification thresholds,
+  // refit when the pin moves to a new generation.
   int64_t cached_generation_ = -2;
-  std::unique_ptr<TopKEngine> engine_;
   ClassificationThresholds thresholds_;
 };
 

@@ -1,8 +1,9 @@
-// Serving-layer tests: protocol round-trips, the malformed-input corpus
-// (typed error or clean close, never a crash), end-to-end bit-identity of
-// served top-K / classification replies against locally recomputed
-// results, admission-control shedding, typed deadline replies, degraded
-// oracle fallback, drain-on-shutdown, and rotation pickup mid-serve.
+// Serving-layer tests: protocol round-trips, strict KGC_SERVE_* parsing,
+// the malformed-input corpus (typed error or clean close, never a crash),
+// end-to-end bit-identity of served top-K / classification replies against
+// locally recomputed results, admission-control shedding, typed deadline
+// replies, degraded oracle fallback, drain-on-shutdown, and rotation pickup
+// mid-serve.
 //
 // The server runs in-process (it is a library; kgc_serve is a thin main),
 // so FaultInjector sites arm directly and the tests are fast enough for
@@ -14,12 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "eval/topk.h"
@@ -163,6 +167,112 @@ TEST(ServeBoundedQueueTest, ShedsAtCapacityAndDrainsAfterClose) {
   EXPECT_EQ(batch[0], 1);
   EXPECT_EQ(batch[1], 2);
   EXPECT_TRUE(queue.PopBatch(8, std::chrono::microseconds(0)).empty());
+}
+
+TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
+  const char* const kVars[] = {
+      "KGC_SERVE_MAX_CONNECTIONS", "KGC_SERVE_QUEUE",
+      "KGC_SERVE_MAX_BATCH",       "KGC_SERVE_LINGER_US",
+      "KGC_SERVE_DEADLINE_MS",     "KGC_SERVE_WRITE_TIMEOUT_MS",
+      "KGC_SERVE_MAX_K",           "KGC_SERVE_PRUNE",
+      "KGC_SERVE_FORCE_ORACLE"};
+  const auto unset_all = [&] {
+    for (const char* name : kVars) ::unsetenv(name);
+  };
+  // Each case sets the variables, parses, and returns the options plus the
+  // number of warning lines FromEnv printed.
+  const auto parse =
+      [&](std::vector<std::pair<const char*, const char*>> vars) {
+        unset_all();
+        for (const auto& [name, value] : vars) ::setenv(name, value, 1);
+        ::testing::internal::CaptureStderr();
+        const ServeOptions options = ServeOptions::FromEnv();
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        unset_all();
+        return std::make_pair(
+            options, static_cast<int>(std::count(err.begin(), err.end(),
+                                                 '\n')));
+      };
+  const ServeOptions defaults;
+  EXPECT_EQ(defaults.linger_us, 0);
+  EXPECT_FALSE(defaults.prune);
+
+  {
+    const auto [options, warnings] = parse({});
+    EXPECT_EQ(warnings, 0);
+    EXPECT_EQ(options.max_connections, defaults.max_connections);
+    EXPECT_EQ(options.queue_capacity, defaults.queue_capacity);
+    EXPECT_EQ(options.max_batch, defaults.max_batch);
+    EXPECT_EQ(options.linger_us, 0);
+    EXPECT_EQ(options.default_deadline_ms, defaults.default_deadline_ms);
+    EXPECT_EQ(options.write_timeout_ms, defaults.write_timeout_ms);
+    EXPECT_EQ(options.max_k, defaults.max_k);
+    EXPECT_FALSE(options.prune);
+    EXPECT_FALSE(options.force_oracle);
+  }
+  {
+    const auto [options, warnings] = parse({{"KGC_SERVE_MAX_CONNECTIONS", "3"},
+                                            {"KGC_SERVE_QUEUE", "2"},
+                                            {"KGC_SERVE_MAX_BATCH", "4"},
+                                            {"KGC_SERVE_LINGER_US", "500"},
+                                            {"KGC_SERVE_DEADLINE_MS", "250"},
+                                            {"KGC_SERVE_WRITE_TIMEOUT_MS", "1"},
+                                            {"KGC_SERVE_MAX_K", "10"},
+                                            {"KGC_SERVE_PRUNE", "1"},
+                                            {"KGC_SERVE_FORCE_ORACLE", "true"}});
+    EXPECT_EQ(warnings, 0);
+    EXPECT_EQ(options.max_connections, 3);
+    EXPECT_EQ(options.queue_capacity, 2);
+    EXPECT_EQ(options.max_batch, 4);
+    EXPECT_EQ(options.linger_us, 500);
+    EXPECT_EQ(options.default_deadline_ms, 250);
+    EXPECT_EQ(options.write_timeout_ms, 1);
+    EXPECT_EQ(options.max_k, 10);
+    EXPECT_TRUE(options.prune);
+    EXPECT_TRUE(options.force_oracle);
+  }
+  {
+    // The boundaries themselves are accepted; "false" and "0" turn off.
+    const auto [options, warnings] = parse({{"KGC_SERVE_LINGER_US", "0"},
+                                            {"KGC_SERVE_MAX_BATCH", "1"},
+                                            {"KGC_SERVE_PRUNE", "false"},
+                                            {"KGC_SERVE_FORCE_ORACLE", "0"}});
+    EXPECT_EQ(warnings, 0);
+    EXPECT_EQ(options.linger_us, 0);
+    EXPECT_EQ(options.max_batch, 1);
+    EXPECT_FALSE(options.prune);
+    EXPECT_FALSE(options.force_oracle);
+  }
+  {
+    // "off" used to read as true; "abc" used to read as 0 connections.
+    // Every bad value keeps its default and warns once.
+    const auto [options, warnings] =
+        parse({{"KGC_SERVE_PRUNE", "off"},
+               {"KGC_SERVE_FORCE_ORACLE", "yes"},
+               {"KGC_SERVE_MAX_CONNECTIONS", "abc"},
+               {"KGC_SERVE_QUEUE", "0"},
+               {"KGC_SERVE_MAX_BATCH", "-4"},
+               {"KGC_SERVE_LINGER_US", "-1"},
+               {"KGC_SERVE_DEADLINE_MS", "12ms"},
+               {"KGC_SERVE_WRITE_TIMEOUT_MS", " 5"},
+               {"KGC_SERVE_MAX_K", "99999999999"}});
+    EXPECT_EQ(warnings, 9);
+    EXPECT_EQ(options.max_connections, defaults.max_connections);
+    EXPECT_EQ(options.queue_capacity, defaults.queue_capacity);
+    EXPECT_EQ(options.max_batch, defaults.max_batch);
+    EXPECT_EQ(options.linger_us, defaults.linger_us);
+    EXPECT_EQ(options.default_deadline_ms, defaults.default_deadline_ms);
+    EXPECT_EQ(options.write_timeout_ms, defaults.write_timeout_ms);
+    EXPECT_EQ(options.max_k, defaults.max_k);
+    EXPECT_EQ(options.prune, defaults.prune);
+    EXPECT_EQ(options.force_oracle, defaults.force_oracle);
+  }
+  {
+    // A set-but-empty variable means unset, silently.
+    const auto [options, warnings] = parse({{"KGC_SERVE_QUEUE", ""}});
+    EXPECT_EQ(warnings, 0);
+    EXPECT_EQ(options.queue_capacity, defaults.queue_capacity);
+  }
 }
 
 class ServeTest : public ::testing::Test {

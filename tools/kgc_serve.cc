@@ -31,8 +31,10 @@
 //
 // Queue/batch/deadline knobs come from KGC_SERVE_* env (see
 // serve/server.h); the flags above override the corresponding env value.
-// Prints "READY socket=... generation=N entities=N" once serving, and a
-// drain summary on SIGTERM/SIGINT. Exit: 0 clean drain, 1 error, 2 usage.
+// Prints "READY socket=... generation=N entities=N model=NAME" followed by
+// the resolved serving options ("queue=N max_batch=N linger_us=N prune=0|1
+// deadline_ms=N max_connections=N max_k=N") once serving, and a drain
+// summary on SIGTERM/SIGINT. Exit: 0 clean drain, 1 error, 2 usage.
 
 #include <csignal>
 #include <cstdio>
@@ -238,11 +240,16 @@ int ServeMain(int argc, char** argv) {
   std::signal(SIGTERM, HandleSignal);
   std::signal(SIGINT, HandleSignal);
   const auto current = registry->current();
-  std::printf("READY socket=%s generation=%lld entities=%lld model=%s\n",
+  std::printf("READY socket=%s generation=%lld entities=%lld model=%s "
+              "queue=%d max_batch=%d linger_us=%d prune=%d deadline_ms=%d "
+              "max_connections=%d max_k=%d\n",
               options.socket_path.c_str(),
               static_cast<long long>(server.pinned_generation()),
               static_cast<long long>(current->manifest.num_entities),
-              current->manifest.model.c_str());
+              current->manifest.model.c_str(), options.queue_capacity,
+              options.max_batch, options.linger_us, options.prune ? 1 : 0,
+              options.default_deadline_ms, options.max_connections,
+              options.max_k);
   std::fflush(stdout);
 
   while (g_stop == 0) {
