@@ -1,7 +1,6 @@
 #include "bench/bench_common.h"
 
 #include <algorithm>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -12,13 +11,11 @@
 #include "obs/perf_counters.h"
 #include "obs/report.h"
 #include "obs/trace.h"
-#include "util/check.h"
 #include "util/deadline.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "util/string_util.h"
-#include "util/vecmath.h"
 
 namespace kgc::bench {
 namespace {
@@ -252,97 +249,6 @@ bool ConsumeBoolFlag(int* argc, char** argv, const char* name) {
   return found;
 }
 
-ClusteredL2Model::ClusteredL2Model(int32_t num_entities, size_t dim,
-                                   int32_t num_relations, uint64_t seed)
-    : num_entities_(num_entities),
-      num_relations_(num_relations),
-      dim_(dim),
-      entities_(static_cast<size_t>(num_entities) * dim),
-      relations_(static_cast<size_t>(num_relations) * dim) {
-  Rng rng(seed);
-  // Clusters of near-duplicates: one random direction per cluster, scaled
-  // to a log-normal norm, each member jittered by ~1% of that norm. The
-  // cluster size exceeds the bench K ladder's headline K, so a query's
-  // top-K lives inside its anchor's cluster and the top-K distance stays
-  // tiny relative to the inter-cluster norm spread.
-  constexpr size_t kClusterSize = 16;
-  std::vector<float> center(dim);
-  double center_norm = 1.0;
-  for (size_t e = 0; e < static_cast<size_t>(num_entities); ++e) {
-    if (e % kClusterSize == 0) {
-      double norm2 = 0.0;
-      for (size_t j = 0; j < dim; ++j) {
-        center[j] = static_cast<float>(rng.Normal());
-        norm2 += static_cast<double>(center[j]) * center[j];
-      }
-      center_norm = std::exp(rng.Normal(0.0, 0.5));
-      const double scale = center_norm / std::sqrt(std::max(norm2, 1e-30));
-      for (size_t j = 0; j < dim; ++j) {
-        center[j] = static_cast<float>(center[j] * scale);
-      }
-    }
-    const double jitter =
-        0.01 * center_norm / std::sqrt(static_cast<double>(dim));
-    float* row = &entities_[e * dim];
-    for (size_t j = 0; j < dim; ++j) {
-      row[j] = center[j] + static_cast<float>(rng.Normal(0.0, jitter));
-    }
-  }
-  // Relations translate by far less than the inter-cluster spacing, so the
-  // query stays near its anchor's cluster.
-  const double rel_sd = 0.002 / std::sqrt(static_cast<double>(dim));
-  for (float& x : relations_) {
-    x = static_cast<float>(rng.Normal(0.0, rel_sd));
-  }
-}
-
-void ClusteredL2Model::ScoreTails(int32_t head, int32_t relation,
-                                  std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  auto q = vec::GetScratch(dim_, 0);
-  BuildSweepQuery(/*tails=*/true, relation, head, q);
-  vec::Ops().l2_rows(q.data(), entities_.data(),
-                     static_cast<size_t>(num_entities_), dim_, dim_,
-                     out.data());
-  vec::Negate(out);
-}
-
-void ClusteredL2Model::ScoreHeads(int32_t relation, int32_t tail,
-                                  std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  auto q = vec::GetScratch(dim_, 0);
-  BuildSweepQuery(/*tails=*/false, relation, tail, q);
-  vec::Ops().l2_rows(q.data(), entities_.data(),
-                     static_cast<size_t>(num_entities_), dim_, dim_,
-                     out.data());
-  vec::Negate(out);
-}
-
-bool ClusteredL2Model::DescribeSweep(bool tails, int32_t relation,
-                                     SweepSpec* spec) const {
-  (void)tails;
-  (void)relation;
-  spec->kind = SweepKind::kL2;
-  spec->rows = entities_.data();
-  spec->num_rows = static_cast<size_t>(num_entities_);
-  spec->stride = dim_;
-  spec->dim = dim_;
-  spec->query_len = dim_;
-  spec->negate = true;
-  spec->stable_rows = true;
-  return true;
-}
-
-void ClusteredL2Model::BuildSweepQuery(bool tails, int32_t relation,
-                                       int32_t anchor,
-                                       std::span<float> query) const {
-  const float* av = &entities_[static_cast<size_t>(anchor) * dim_];
-  const float* rv = &relations_[static_cast<size_t>(relation) * dim_];
-  for (size_t j = 0; j < dim_; ++j) {
-    query[j] = tails ? av[j] + rv[j] : av[j] - rv[j];
-  }
-}
-
 std::vector<TopKQuery> MakeTopKBenchQueries(int32_t num_entities,
                                             int32_t num_relations,
                                             size_t count, uint64_t seed) {
@@ -356,8 +262,6 @@ std::vector<TopKQuery> MakeTopKBenchQueries(int32_t num_entities,
         static_cast<RelationId>(rng.Uniform(static_cast<uint64_t>(num_relations)));
     q.anchor =
         static_cast<EntityId>(rng.Uniform(static_cast<uint64_t>(num_entities)));
-    q.watch = {
-        static_cast<EntityId>(rng.Uniform(static_cast<uint64_t>(num_entities)))};
     queries.push_back(std::move(q));
   }
   return queries;
@@ -366,7 +270,7 @@ std::vector<TopKQuery> MakeTopKBenchQueries(int32_t num_entities,
 TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
                                     const std::string& label,
                                     std::span<const TopKQuery> queries, int k,
-                                    bool prune, bool cross_check, int reps,
+                                    bool cross_check, int reps,
                                     const TripleStore* filter,
                                     size_t queries_per_run) {
   TopKBenchPoint point;
@@ -374,7 +278,6 @@ TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
   point.num_entities = predictor.num_entities();
   point.num_queries = queries.size();
   point.k = k;
-  point.prune = prune;
   point.filtered = filter != nullptr;
   point.queries_per_run =
       queries_per_run > 0 ? std::min(queries_per_run, queries.size())
@@ -382,7 +285,6 @@ TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
 
   TopKOptions options;
   options.k = k;
-  options.prune = prune;
   options.threads = 1;  // oracle is serial; compare core-for-core
   const TopKEngine engine(predictor, options);
   const auto run_all = [&](const TopKEngine& e) {
@@ -404,16 +306,13 @@ TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
   // Counter deltas over exactly one engine pass (counters are cumulative
   // per process and thread-count independent).
   auto& registry = obs::Registry::Get();
-  obs::Counter& tiles = registry.GetCounter(obs::kTopKTilesPruned);
   obs::Counter& scored = registry.GetCounter(obs::kTopKEntitiesScored);
   obs::Counter& pushes = registry.GetCounter(obs::kTopKHeapPushes);
   obs::Counter& batched = registry.GetCounter(obs::kTopKQueriesBatched);
-  const uint64_t tiles0 = tiles.value();
   const uint64_t scored0 = scored.value();
   const uint64_t pushes0 = pushes.value();
   const uint64_t batched0 = batched.value();
   run_all(engine);
-  point.tiles_pruned = tiles.value() - tiles0;
   point.entities_scored = scored.value() - scored0;
   point.heap_pushes = pushes.value() - pushes0;
   point.queries_batched = batched.value() - batched0;

@@ -76,46 +76,6 @@ bool ConsumeValueFlag(int* argc, char** argv, const char* name,
                       std::string* value);
 bool ConsumeBoolFlag(int* argc, char** argv, const char* name);
 
-/// Synthetic retrieval workload for the top-K benches.
-///
-/// Real trained TransE tables are nearly unit-norm (the trainer projects
-/// entities to the sphere), which makes norm-bound pruning vacuous — the
-/// honest rows in the bench report show exactly that. This model instead
-/// embodies the redundancy thesis of the paper (§3: near-duplicate
-/// entities dominate the benchmarks): entities come in clusters of
-/// near-duplicates, cluster norms follow a log-normal spread, and queries
-/// land near cluster centres. Top-K distances are then tiny relative to
-/// the norm spread, so the norm-sorted tile bound discards most of the
-/// table — the regime the fast path is built for.
-///
-/// Scoring is -L2(entity - (anchor ± relation)), exposed through the
-/// sweep API exactly like the production translational models.
-class ClusteredL2Model final : public LinkPredictor {
- public:
-  ClusteredL2Model(int32_t num_entities, size_t dim, int32_t num_relations,
-                   uint64_t seed);
-
-  const char* name() const override { return "ClusteredL2"; }
-  int32_t num_entities() const override { return num_entities_; }
-  int32_t num_relations() const { return num_relations_; }
-
-  void ScoreTails(int32_t head, int32_t relation,
-                  std::span<float> out) const override;
-  void ScoreHeads(int32_t relation, int32_t tail,
-                  std::span<float> out) const override;
-  bool DescribeSweep(bool tails, int32_t relation,
-                     SweepSpec* spec) const override;
-  void BuildSweepQuery(bool tails, int32_t relation, int32_t anchor,
-                       std::span<float> query) const override;
-
- private:
-  int32_t num_entities_;
-  int32_t num_relations_;
-  size_t dim_;
-  std::vector<float> entities_;   // row-major num_entities x dim
-  std::vector<float> relations_;  // row-major num_relations x dim
-};
-
 /// Deterministic mixed head/tail top-K queries over a model's id space.
 std::vector<TopKQuery> MakeTopKBenchQueries(int32_t num_entities,
                                             int32_t num_relations,
@@ -123,18 +83,16 @@ std::vector<TopKQuery> MakeTopKBenchQueries(int32_t num_entities,
 
 /// One measured point of the top-K fast path against the full-sweep oracle.
 struct TopKBenchPoint {
-  std::string label;        // workload name, e.g. "clustered_l2"
+  std::string label;        // workload name, e.g. "transe_unit_norm"
   int64_t num_entities = 0;
   size_t num_queries = 0;
   int k = 0;
-  bool prune = true;
   bool filtered = false;       // scored against a filter store
   size_t queries_per_run = 0;  // queries per TopKEngine::Run call
   double oracle_seconds = 0;  // best-of-reps, serial OracleTopK per query
   double engine_seconds = 0;  // best-of-reps, TopKEngine threads=1
   double speedup = 0;         // oracle_seconds / engine_seconds
   // kgc.topk.* counter deltas over one engine run.
-  uint64_t tiles_pruned = 0;
   uint64_t entities_scored = 0;
   uint64_t heap_pushes = 0;
   uint64_t queries_batched = 0;
@@ -146,14 +104,14 @@ struct TopKBenchPoint {
 /// `reps` wall clock for each side, engine pinned to one thread so the
 /// comparison is core-for-core. `filter` (may be null) is passed to both
 /// sides. The engine gets `queries_per_run` queries per Run call (0: all of
-/// them in one), so per-Run set-up such as the norm index is paid once per
-/// call, as a server pays it once per batch. When `cross_check` is set, one
-/// extra (untimed) engine pass executes with TopKOptions::cross_check — it
-/// aborts the process on any bit-level disagreement with the oracle.
+/// them in one), as a server runs it once per batch. When `cross_check` is
+/// set, one extra (untimed) engine pass executes with
+/// TopKOptions::cross_check — it aborts the process on any bit-level
+/// disagreement with the oracle.
 TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
                                     const std::string& label,
                                     std::span<const TopKQuery> queries, int k,
-                                    bool prune, bool cross_check, int reps,
+                                    bool cross_check, int reps,
                                     const TripleStore* filter = nullptr,
                                     size_t queries_per_run = 0);
 

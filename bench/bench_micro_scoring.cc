@@ -13,10 +13,10 @@
 //   - exporter_overhead: the ScoreTails sweep with the live metrics
 //                        exporter off vs running at 100 ms;
 //   - topk:              the TopKEngine fast path vs the full-sweep oracle
-//                        at 100k entities (K ladder, prune on/off, honest
-//                        unit-norm and dot-product rows), plus TransE/H/R/D
-//                        trained like kgc_serve's scale:10000 generation,
-//                        prune on/off, one query per run and all in one.
+//                        on untrained 100k-entity TransE and DistMult
+//                        tables, plus TransE/H/R/D trained like kgc_serve's
+//                        scale:10000 generation, one query per run and all
+//                        in one.
 //
 // Flags: the telemetry flags (--report/--trace/--log-level) and --topk
 // (run only the topk post-suite section) accept both --flag=value and
@@ -545,16 +545,15 @@ void RunExporterOverhead(std::ostream& out) {
 
 // --- Top-K retrieval -------------------------------------------------------
 
-/// The pruner on the models it would serve: TransE, TransH, TransR and
-/// TransD trained the way `kgc_serve --bootstrap=scale:10000` trains
+/// The engine on the models kgc_serve would serve: TransE, TransH, TransR
+/// and TransD trained the way `kgc_serve --bootstrap=scale:10000` trains
 /// generation 0 (the streamed preset at kgc_serve's default --seed, default
 /// hyper-parameters and TrainOptions, 6 epochs), asked filtered top-10
 /// head/tail queries drawn from the test split the way served traffic draws
-/// them. Each model runs prune on and off, once with one query per Run (a
-/// server batch at the serving defaults: the norm index is rebuilt for
-/// every query) and once with all queries in one Run (the index built once:
-/// the pruner's best case). Every row is oracle cross-checked. Appends the
-/// rows to `points`; returns false if the dataset could not be made.
+/// them. Each model runs once with one query per Run (a server batch at the
+/// serving defaults) and once with all queries in one Run. Every row is
+/// oracle cross-checked. Appends the rows to `points`; returns false if the
+/// dataset could not be made.
 bool MeasureTrainedTopK(int reps, std::vector<bench::TopKBenchPoint>* points) {
   constexpr int64_t kScaleEntities = 10000;
   constexpr uint64_t kSeed = 7;  // kgc_serve's --seed default
@@ -604,97 +603,57 @@ bool MeasureTrainedTopK(int reps, std::vector<bench::TopKBenchPoint>* points) {
     train.seed = kSeed;
     TrainModel(*model, *dataset, train);
     for (const size_t per_run : {size_t{1}, kQueries}) {
-      for (const bool prune : {true, false}) {
-        points->push_back(bench::MeasureTopKRetrieval(
-            *model, label, queries, kK, prune, /*cross_check=*/true, reps,
-            &dataset->all_store(), per_run));
-      }
+      points->push_back(bench::MeasureTopKRetrieval(
+          *model, label, queries, kK, /*cross_check=*/true, reps,
+          &dataset->all_store(), per_run));
     }
   }
   return true;
 }
 
 /// Times the TopKEngine fast path against the per-query full-sweep oracle
-/// and writes the topk JSON section. Synthetic workloads at 100k entities:
-///   - clustered_l2: near-duplicate clusters with a log-normal norm spread
-///     (bench::ClusteredL2Model, the paper's redundancy regime) — the K
-///     ladder, plus a prune-off row isolating blocking + heap selection;
-///   - transe_unit_norm: a fresh TransE table, whose entities the model
-///     projects to the unit sphere — every norm is 1, the norm bound can
-///     prune nothing, and the row shows the honest blocking-only speedup
-///     for trained translational models;
-///   - distmult_dot: a dot-product sweep, never pruned by construction;
+/// and writes the topk JSON section. Untrained tables at 100k entities:
+///   - transe_unit_norm: a fresh TransE table (the model projects its
+///     entities to the unit sphere), a negated L2 distance sweep;
+///   - distmult_dot: a dot-product sweep;
 /// and the trained models of MeasureTrainedTopK
-/// ({transe,transh,transr,transd}_trained).
-/// Each workload's K=10 row first runs an oracle cross-check (aborts on a
-/// bit-level mismatch). The acceptance target is >= 5x at K=10 on
-/// clustered_l2; a miss is reported but not fatal here — the hard gate
-/// lives in bench_scale --smoke.
+/// ({transe,transh,transr,transd}_trained). Every row first runs an oracle
+/// cross-check (aborts on a bit-level mismatch).
 int RunTopKRetrieval(std::ostream& out) {
   constexpr int32_t kEntities = 100000;
   constexpr size_t kDim = 64;
   constexpr int32_t kRelations = 8;
   constexpr size_t kQueries = 128;
   constexpr int kReps = 3;
-  constexpr double kTargetSpeedup = 5.0;
 
   const std::vector<TopKQuery> queries =
       bench::MakeTopKBenchQueries(kEntities, kRelations, kQueries, 17);
   std::vector<bench::TopKBenchPoint> points;
-  {
-    const bench::ClusteredL2Model clustered(kEntities, kDim, kRelations, 23);
-    for (int k : {1, 10, 100}) {
-      points.push_back(bench::MeasureTopKRetrieval(
-          clustered, "clustered_l2", queries, k, /*prune=*/true,
-          /*cross_check=*/k == 10, kReps));
-    }
-    points.push_back(bench::MeasureTopKRetrieval(
-        clustered, "clustered_l2", queries, 10, /*prune=*/false,
-        /*cross_check=*/false, kReps));
-  }
-  {
-    ModelHyperParams params = DefaultHyperParams(ModelType::kTransE);
+  const std::pair<ModelType, const char*> kTables[] = {
+      {ModelType::kTransE, "transe_unit_norm"},
+      {ModelType::kDistMult, "distmult_dot"}};
+  for (const auto& [type, label] : kTables) {
+    ModelHyperParams params = DefaultHyperParams(type);
     params.dim = kDim;
-    const auto transe =
-        CreateModel(ModelType::kTransE, kEntities, kRelations, params);
+    const auto model = CreateModel(type, kEntities, kRelations, params);
     points.push_back(bench::MeasureTopKRetrieval(
-        *transe, "transe_unit_norm", queries, 10, /*prune=*/true,
-        /*cross_check=*/true, kReps));
-  }
-  {
-    ModelHyperParams params = DefaultHyperParams(ModelType::kDistMult);
-    params.dim = kDim;
-    const auto distmult =
-        CreateModel(ModelType::kDistMult, kEntities, kRelations, params);
-    points.push_back(bench::MeasureTopKRetrieval(
-        *distmult, "distmult_dot", queries, 10, /*prune=*/true,
-        /*cross_check=*/true, kReps));
+        *model, label, queries, 10, /*cross_check=*/true, kReps));
   }
   const int rc = MeasureTrainedTopK(kReps, &points) ? 0 : 1;
-
-  double headline = 0.0;
-  for (const bench::TopKBenchPoint& p : points) {
-    if (p.label == "clustered_l2" && p.k == 10 && p.prune) {
-      headline = p.speedup;
-    }
-  }
 
   out << "  \"topk\": {\n"
       << "    \"num_entities\": " << kEntities << ",\n"
       << "    \"dim\": " << kDim << ",\n"
       << "    \"num_queries\": " << kQueries << ",\n"
-      << "    \"target_speedup_clustered_k10\": " << kTargetSpeedup << ",\n"
-      << "    \"headline_speedup_clustered_k10\": " << headline << ",\n"
       << "    \"results\": [\n";
   std::printf("\ntop-K retrieval (engine threads=1 vs full-sweep oracle; "
-              "synthetic rows: %d entities, dim %zu, %zu queries)\n",
+              "untrained rows: %d entities, dim %zu, %zu queries)\n",
               kEntities, kDim, kQueries);
   for (size_t i = 0; i < points.size(); ++i) {
     const bench::TopKBenchPoint& p = points[i];
     const double engine_us_per_query =
         p.engine_seconds * 1e6 / static_cast<double>(p.num_queries);
     out << "      {\"workload\": \"" << p.label << "\", \"k\": " << p.k
-        << ", \"prune\": " << (p.prune ? "true" : "false")
         << ", \"cross_checked\": " << (p.cross_checked ? "true" : "false")
         << ", \"num_entities\": " << p.num_entities
         << ", \"num_queries\": " << p.num_queries
@@ -704,27 +663,19 @@ int RunTopKRetrieval(std::ostream& out) {
         << ", \"engine_seconds\": " << p.engine_seconds
         << ", \"engine_us_per_query\": " << engine_us_per_query
         << ", \"speedup\": " << p.speedup
-        << ", \"tiles_pruned\": " << p.tiles_pruned
         << ", \"entities_scored\": " << p.entities_scored
         << ", \"scored_fraction\": " << p.scored_fraction
         << ", \"heap_pushes\": " << p.heap_pushes
         << ", \"queries_batched\": " << p.queries_batched << "}"
         << (i + 1 < points.size() ? "," : "") << "\n";
-    std::printf("  %-16s K=%-3d prune=%-3s  run=%-3zu  oracle %.3fs  "
-                "engine %.3fs (%7.1f us/query)  %6.2fx  scored %5.1f%%  "
-                "tiles_pruned %llu%s\n",
-                p.label.c_str(), p.k, p.prune ? "on" : "off",
-                p.queries_per_run, p.oracle_seconds, p.engine_seconds,
-                engine_us_per_query, p.speedup,
+    std::printf("  %-16s K=%-3d run=%-3zu  oracle %.3fs  engine %.3fs "
+                "(%7.1f us/query)  %6.2fx  scored %5.1f%%%s\n",
+                p.label.c_str(), p.k, p.queries_per_run, p.oracle_seconds,
+                p.engine_seconds, engine_us_per_query, p.speedup,
                 p.scored_fraction * 100.0,
-                static_cast<unsigned long long>(p.tiles_pruned),
                 p.cross_checked ? "  [cross-checked]" : "");
   }
   out << "    ]\n  }";
-  std::printf("  headline: clustered_l2 K=10 prune=on %.2fx  (target >= "
-              "%.1fx: %s)\n",
-              headline, kTargetSpeedup,
-              headline >= kTargetSpeedup ? "MET" : "MISSED");
   return rc;
 }
 

@@ -132,57 +132,6 @@ bool ComputeRankByProbe(std::span<const float> scores, EntityId true_entity,
   return true;
 }
 
-// Resolves Hits@1 / Hits@10 through the top-K engine. With the engine run
-// at k' >= m, "fewer than m list entries beat the true entity" is exactly
-// "rank_(score desc, id asc) <= m": any off-list entity is beaten by every
-// one of the k' list entries, so if it beat the true entity all k' >= m
-// list entries would too, contradicting the count.
-void ApplyTopKHits(const LinkPredictor& predictor, const Dataset& dataset,
-                   const TripleList& test, const RankerOptions& options,
-                   LinkPredictionMetrics* metrics) {
-  if (test.empty()) return;
-  const TripleStore& filter =
-      options.filter != nullptr ? *options.filter : dataset.all_store();
-  TopKOptions topk = options.topk;
-  topk.k = std::max(topk.k, 10);  // hits@10 needs at least ten entries
-  if (topk.threads == 0) topk.threads = options.threads;
-  std::vector<TopKQuery> queries;
-  queries.reserve(test.size() * 2);
-  for (const Triple& t : test) {
-    queries.push_back({/*tails=*/true, t.relation, t.head, {t.tail}});
-    queries.push_back({/*tails=*/false, t.relation, t.tail, {t.head}});
-  }
-  const TopKEngine engine(predictor, topk);
-  const std::vector<TopKResult> results = engine.Run(queries, &filter);
-
-  const auto hit = [](const std::vector<TopKEntry>& list, float true_score,
-                      EntityId true_entity, int m) {
-    int better = 0;
-    for (const TopKEntry& entry : list) {
-      if (entry.entity == true_entity) continue;  // not its own competitor
-      if (entry.score > true_score ||
-          (entry.score == true_score && entry.entity < true_entity)) {
-        ++better;
-      }
-    }
-    return better < m;
-  };
-  double hits1 = 0, hits10 = 0, fhits1 = 0, fhits10 = 0;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const float true_score = results[i].watch_scores[0];
-    const EntityId true_entity = queries[i].watch[0];
-    hits1 += hit(results[i].raw, true_score, true_entity, 1);
-    hits10 += hit(results[i].raw, true_score, true_entity, 10);
-    fhits1 += hit(results[i].filtered, true_score, true_entity, 1);
-    fhits10 += hit(results[i].filtered, true_score, true_entity, 10);
-  }
-  const double n = static_cast<double>(queries.size());
-  metrics->hits1 = hits1 / n;
-  metrics->hits10 = hits10 / n;
-  metrics->fhits1 = fhits1 / n;
-  metrics->fhits10 = fhits10 / n;
-}
-
 }  // namespace
 
 std::vector<TripleRanks> RankTriples(const LinkPredictor& predictor,
@@ -328,13 +277,8 @@ std::vector<TripleRanks> RankTriples(const LinkPredictor& predictor,
 LinkPredictionMetrics EvaluatePredictor(const LinkPredictor& predictor,
                                         const Dataset& dataset,
                                         const RankerOptions& options) {
-  const std::vector<TripleRanks> ranks =
-      RankTriples(predictor, dataset, dataset.test(), options);
-  LinkPredictionMetrics metrics = ComputeMetrics(ranks);
-  if (options.topk.enabled) {
-    ApplyTopKHits(predictor, dataset, dataset.test(), options, &metrics);
-  }
-  return metrics;
+  return ComputeMetrics(
+      RankTriples(predictor, dataset, dataset.test(), options));
 }
 
 }  // namespace kgc

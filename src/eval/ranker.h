@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "eval/metrics.h"
-#include "eval/topk.h"
 #include "kg/dataset.h"
 #include "kg/link_predictor.h"
 
@@ -41,15 +40,6 @@ struct RankerOptions {
   /// (duplicate known facts must count multiply, which only marking does)
   /// and small enough; otherwise the triple falls back to marking.
   bool probe_filter = true;
-  /// Top-K fast-path routing (eval/topk.h). When topk.enabled is set,
-  /// EvaluatePredictor resolves Hits@1 / Hits@10 (raw and filtered) through
-  /// the blocked, heap-selected, norm-pruned retrieval engine instead of
-  /// the full ranking sweep; MR/MRR keep the full sweep, which they need
-  /// anyway. Caveat: the fast path ranks by (score desc, entity asc) while
-  /// the full sweep tie-averages, so Hits can differ on exact score ties —
-  /// rare for trained float embeddings, and the default (disabled) keeps
-  /// the classic path bit for bit.
-  TopKOptions topk;
 };
 
 /// Ranks every triple of `test` under `predictor`. Results align with the

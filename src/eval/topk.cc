@@ -1,16 +1,11 @@
 // Top-K retrieval engine implementation. See topk.h for the contract and
-// DESIGN.md "Top-K retrieval" for the blocking / pruning scheme.
+// DESIGN.md "Top-K retrieval" for the blocking scheme.
 
 #include "eval/topk.h"
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -29,7 +24,6 @@ namespace {
 // so every group's contribution is a pure function of the queries and the
 // model, and the merged totals are thread-count independent.
 struct Tally {
-  uint64_t tiles_pruned = 0;
   uint64_t entities_scored = 0;
   uint64_t heap_pushes = 0;
   uint64_t queries_batched = 0;
@@ -48,8 +42,6 @@ inline bool Better(float score_a, EntityId a, float score_b, EntityId b) {
 class BoundedHeap {
  public:
   explicit BoundedHeap(size_t k) : k_(k) { entries_.reserve(k); }
-
-  bool full() const { return entries_.size() == k_; }
 
   /// True when (score, e) would enter the heap right now. A deferred
   /// candidate must be re-checked after its filter probe: the threshold
@@ -77,10 +69,6 @@ class BoundedHeap {
     return true;
   }
 
-  /// Only meaningful when full(): the k-th best score, i.e. the pruning
-  /// threshold a new candidate must strictly beat (or tie and win on id).
-  float worst_score() const { return entries_.front().score; }
-
   std::vector<TopKEntry> Sorted() && {
     std::sort(entries_.begin(), entries_.end(),
               [](const TopKEntry& a, const TopKEntry& b) {
@@ -98,110 +86,8 @@ class BoundedHeap {
   std::vector<TopKEntry> entries_;
 };
 
-// Norm index over one candidate table: rows permuted into ascending-norm
-// order and copied packed (stride == dim) so norm-coherent tiles are also
-// cache-contiguous, plus per-tile norm bands for the pruning bound.
-struct NormIndex {
-  size_t dim = 0;
-  size_t tile_rows = 0;
-  size_t num_tiles = 0;
-  std::vector<uint32_t> perm;   // position -> original entity id
-  std::vector<float> rows;      // permuted packed copy
-  std::vector<float> norms;     // permuted ||e||_2, ascending
-  std::vector<float> tile_lo;   // norms[first of tile]
-  std::vector<float> tile_hi;   // norms[last of tile]
-};
-
-std::shared_ptr<const NormIndex> BuildNormIndex(const SweepSpec& spec,
-                                                size_t tile_rows) {
-  auto index = std::make_shared<NormIndex>();
-  const size_t n = spec.num_rows;
-  const size_t dim = spec.dim;
-  index->dim = dim;
-  index->tile_rows = tile_rows;
-  index->num_tiles = (n + tile_rows - 1) / tile_rows;
-  // Entity norms through the same kernel reduction the sweep uses (distance
-  // to the zero vector) so both sides of the bound share one rounding
-  // regime; the pruning slack absorbs what little remains.
-  std::vector<float> zero(dim, 0.0f);
-  std::vector<float> norms(n);
-  vec::Ops().l2_rows(zero.data(), spec.rows, n, spec.stride, dim,
-                     norms.data());
-  index->perm.resize(n);
-  for (size_t i = 0; i < n; ++i) index->perm[i] = static_cast<uint32_t>(i);
-  std::sort(index->perm.begin(), index->perm.end(),
-            [&](uint32_t a, uint32_t b) {
-              if (norms[a] != norms[b]) return norms[a] < norms[b];
-              return a < b;
-            });
-  index->rows.resize(n * dim);
-  index->norms.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t src = index->perm[i];
-    index->norms[i] = norms[src];
-    std::memcpy(index->rows.data() + i * dim,
-                spec.rows + static_cast<size_t>(src) * spec.stride,
-                dim * sizeof(float));
-  }
-  index->tile_lo.resize(index->num_tiles);
-  index->tile_hi.resize(index->num_tiles);
-  for (size_t t = 0; t < index->num_tiles; ++t) {
-    const size_t begin = t * tile_rows;
-    const size_t end = std::min(n, begin + tile_rows);
-    index->tile_lo[t] = index->norms[begin];
-    index->tile_hi[t] = index->norms[end - 1];
-  }
-  return index;
-}
-
-// Run-local cache of norm indexes, keyed by the candidate-table pointer.
-// Only stable_rows tables are cached (the pointer identifies the table for
-// the duration of one Run); heads and tails of the same model share the
-// entity table, so they share one index. Run-local scope means a model
-// that trains between Runs can never serve a stale index.
-struct NormIndexCache {
-  std::mutex mu;
-  std::unordered_map<const float*, std::shared_ptr<const NormIndex>> map;
-};
-
-// Exact score of one (query, entity) pair via the 1-row kernel on the
-// original table. Row kernels reduce each row independently, so a 1-row
-// call reproduces the blocked sweep's bits for that row exactly.
-float ScoreOneRow(const vec::KernelOps& ops, const SweepSpec& spec,
-                  const float* v, const float* coef, const float* q,
-                  EntityId e) {
-  const float* row = spec.rows + static_cast<size_t>(e) * spec.stride;
-  float val = 0.0f;
-  switch (spec.kind) {
-    case SweepKind::kDot:
-      ops.dot_rows(q, row, 1, spec.stride, spec.dim, &val);
-      break;
-    case SweepKind::kL1:
-      ops.l1_rows(q, row, 1, spec.stride, spec.dim, &val);
-      break;
-    case SweepKind::kL2:
-      ops.l2_rows(q, row, 1, spec.stride, spec.dim, &val);
-      break;
-    case SweepKind::kL1Offset:
-      ops.l1_offset_rows(q, v, coef + e, spec.coef_scale, row, 1, spec.stride,
-                         spec.dim, &val);
-      break;
-    case SweepKind::kL2Offset:
-      ops.l2_offset_rows(q, v, coef + e, spec.coef_scale, row, 1, spec.stride,
-                         spec.dim, &val);
-      break;
-    case SweepKind::kCabs:
-      ops.cabs_rows(q, row, 1, spec.stride, spec.dim, &val);
-      break;
-    case SweepKind::kNone:
-      break;
-  }
-  if (spec.bias) val += spec.bias[e];
-  return spec.negate ? -val : val;
-}
-
-// Dispatches one blocked kernel call. `coef` must already be aligned with
-// `rows` (sliced for the plain path, permuted for the pruned path).
+// Dispatches one blocked kernel call. `coef` must already be sliced to
+// `rows`.
 void SweepBlock(const vec::KernelOps& ops, SweepKind kind, const float* qs,
                 size_t q_stride, size_t num_q, const float* v,
                 const float* coef, float coef_scale, const float* rows,
@@ -291,10 +177,6 @@ TopKResult FullSweepTopK(const LinkPredictor& predictor,
   }
   result.raw = std::move(raw).Sorted();
   if (filter == nullptr) result.filtered = result.raw;
-  result.watch_scores.reserve(query.watch.size());
-  for (EntityId w : query.watch) {
-    result.watch_scores.push_back(scores[static_cast<size_t>(w)]);
-  }
   if (tally != nullptr) {
     tally->entities_scored += n;
     tally->heap_pushes += pushes;
@@ -320,10 +202,6 @@ void CheckAgainstOracle(const LinkPredictor& predictor,
       FullSweepTopK(predictor, query, k, filter, nullptr);
   CheckEntriesEqual(fast.raw, oracle.raw);
   CheckEntriesEqual(fast.filtered, oracle.filtered);
-  KGC_CHECK_EQ(fast.watch_scores.size(), oracle.watch_scores.size());
-  for (size_t j = 0; j < fast.watch_scores.size(); ++j) {
-    KGC_CHECK_EQ(Bits(fast.watch_scores[j]), Bits(oracle.watch_scores[j]));
-  }
 }
 
 // Processes whole (direction, relation) groups on one shard. All per-group
@@ -332,13 +210,11 @@ class GroupRunner {
  public:
   GroupRunner(const LinkPredictor& predictor, const TopKOptions& options,
               std::span<const TopKQuery> queries, const TripleStore* filter,
-              NormIndexCache* cache, std::vector<TopKResult>* results,
-              Tally* tally)
+              std::vector<TopKResult>* results, Tally* tally)
       : predictor_(predictor),
         options_(options),
         queries_(queries),
         filter_(filter),
-        cache_(cache),
         results_(results),
         tally_(tally) {}
 
@@ -361,8 +237,8 @@ class GroupRunner {
     const size_t kk = static_cast<size_t>(options_.k);
     // coef/v may alias model scratch the BuildSweepQuery calls below
     // clobber — copy them up front. rows/bias alias table storage that
-    // stays put for the whole group (for stable_rows == false, a
-    // thread-local buffer this thread keeps pointed at this relation).
+    // stays put for the whole group (for TransR, a thread-local buffer this
+    // thread keeps pointed at this relation).
     coef_.clear();
     if (spec.coef) coef_.assign(spec.coef, spec.coef + spec.num_rows);
     v_.clear();
@@ -378,34 +254,10 @@ class GroupRunner {
     }
     tally_->queries_batched += count;
 
-    const auto& ops = vec::Ops();
-    for (size_t i = 0; i < count; ++i) {
-      const TopKQuery& q = queries_[order[i]];
-      auto& watch_out = (*results_)[order[i]].watch_scores;
-      watch_out.resize(q.watch.size());
-      for (size_t w = 0; w < q.watch.size(); ++w) {
-        watch_out[w] =
-            ScoreOneRow(ops, spec, v, coef, qbuf_.data() + i * qlen,
-                        q.watch[w]);
-      }
-    }
-
     std::vector<BoundedHeap> raw(count, BoundedHeap(kk));
     std::vector<BoundedHeap> filt;
     if (filter_) filt.assign(count, BoundedHeap(kk));
-
-    const bool distance_kind = spec.kind == SweepKind::kL1 ||
-                               spec.kind == SweepKind::kL2 ||
-                               spec.kind == SweepKind::kL1Offset ||
-                               spec.kind == SweepKind::kL2Offset;
-    // Pruning needs "lower bound on distance == upper bound on score",
-    // which holds only for negated distance sweeps without a bias term.
-    if (options_.prune && distance_kind && spec.negate &&
-        spec.bias == nullptr) {
-      RunPruned(spec, v, coef, raw, filt);
-    } else {
-      RunPlain(spec, v, coef, raw, filt);
-    }
+    SweepTiles(spec, v, coef, raw, filt);
 
     for (size_t i = 0; i < count; ++i) {
       TopKResult& result = (*results_)[order[i]];
@@ -444,19 +296,18 @@ class GroupRunner {
     keys_.clear();
   }
 
-  // Scans one tile's kernel output for a set of active queries. `entity_of`
-  // maps a tile-local row to its entity id.
-  template <typename EntityOf>
-  void ScanTile(const SweepSpec& spec, const std::vector<uint32_t>& active,
-                const float* out, size_t out_stride, size_t tile_n,
-                size_t tile_base, EntityOf entity_of,
+  // Scans one tile's kernel output for the block of `num_q` queries that
+  // starts at group-local index `q0`; the tile holds entities
+  // [tile_base, tile_base + tile_n).
+  void ScanTile(const SweepSpec& spec, size_t q0, size_t num_q,
+                const float* out, size_t tile_n, size_t tile_base,
                 std::vector<BoundedHeap>& raw,
                 std::vector<BoundedHeap>& filt) {
-    for (size_t a = 0; a < active.size(); ++a) {
-      const uint32_t q = active[a];
-      const float* row = out + a * out_stride;
+    for (size_t a = 0; a < num_q; ++a) {
+      const uint32_t q = static_cast<uint32_t>(q0 + a);
+      const float* row = out + a * tile_n;
       for (size_t i = 0; i < tile_n; ++i) {
-        const EntityId ent = entity_of(tile_base + i);
+        const EntityId ent = static_cast<EntityId>(tile_base + i);
         float score = row[i];
         if (spec.bias) score += spec.bias[ent];
         if (spec.negate) score = -score;
@@ -468,234 +319,29 @@ class GroupRunner {
         }
       }
     }
-    tally_->entities_scored += active.size() * tile_n;
+    tally_->entities_scored += num_q * tile_n;
     if (filter_) ProbeAndPush(filt);
   }
 
-  // Blocked sweep over the original table in natural order, no pruning.
-  void RunPlain(const SweepSpec& spec, const float* v, const float* coef,
-                std::vector<BoundedHeap>& raw,
-                std::vector<BoundedHeap>& filt) {
+  // Blocked sweep: each block of up to query_block queries is scored
+  // against every tile of the candidate table in natural order.
+  void SweepTiles(const SweepSpec& spec, const float* v, const float* coef,
+                  std::vector<BoundedHeap>& raw,
+                  std::vector<BoundedHeap>& filt) {
     const size_t qlen = spec.query_len;
     const size_t tile_rows = static_cast<size_t>(options_.tile_rows);
     const size_t query_block = static_cast<size_t>(options_.query_block);
     out_.resize(query_block * tile_rows);
     const auto& ops = vec::Ops();
-    std::vector<uint32_t> active;
     for (size_t qb = 0; qb < count_; qb += query_block) {
       const size_t bq = std::min(query_block, count_ - qb);
-      active.resize(bq);
-      for (size_t i = 0; i < bq; ++i) active[i] = static_cast<uint32_t>(qb + i);
       for (size_t base = 0; base < spec.num_rows; base += tile_rows) {
         const size_t tile_n = std::min(tile_rows, spec.num_rows - base);
         SweepBlock(ops, spec.kind, qbuf_.data() + qb * qlen, qlen, bq, v,
                    coef ? coef + base : nullptr, spec.coef_scale,
                    spec.rows + base * spec.stride, tile_n, spec.stride,
                    spec.dim, out_.data(), tile_n);
-        ScanTile(
-            spec, active, out_.data(), tile_n, tile_n, base,
-            [](size_t pos) { return static_cast<EntityId>(pos); }, raw, filt);
-      }
-    }
-  }
-
-  // Norm-pruned sweep over the permuted packed copy. Queries are sorted by
-  // norm and blocked; tiles are visited in ascending block-level bound
-  // order so the heaps tighten before the distant tiles come up, which is
-  // what lets those tiles be skipped.
-  void RunPruned(const SweepSpec& spec, const float* v, const float* coef,
-                 std::vector<BoundedHeap>& raw,
-                 std::vector<BoundedHeap>& filt) {
-    const size_t n = spec.num_rows;
-    const size_t dim = spec.dim;
-    const size_t qlen = spec.query_len;
-    std::shared_ptr<const NormIndex> index;
-    const size_t tile_rows = static_cast<size_t>(options_.tile_rows);
-    if (spec.stable_rows) {
-      std::lock_guard<std::mutex> lock(cache_->mu);
-      auto& slot = cache_->map[spec.rows];
-      if (!slot) slot = BuildNormIndex(spec, tile_rows);
-      index = slot;
-    } else {
-      index = BuildNormIndex(spec, tile_rows);
-    }
-    const size_t num_tiles = index->num_tiles;
-    if (num_tiles == 0) return;
-
-    // Effective per-tile norm bands. The offset kinds score the shifted
-    // query q' = q + coef_scale * coef_e * v, whose norm differs from
-    // ||q|| by at most w_e = |coef_scale * coef_e| * ||v||; widening the
-    // row's band by w_e keeps | ||q|| - band | a true distance bound.
-    const bool offset = spec.kind == SweepKind::kL1Offset ||
-                        spec.kind == SweepKind::kL2Offset;
-    std::vector<float> lo(num_tiles);
-    std::vector<float> hi(num_tiles);
-    std::vector<float> coef_perm;
-    if (offset) {
-      coef_perm.resize(n);
-      for (size_t i = 0; i < n; ++i) coef_perm[i] = coef[index->perm[i]];
-      double vsq = 0.0;
-      for (size_t j = 0; j < dim; ++j) {
-        vsq += static_cast<double>(v[j]) * static_cast<double>(v[j]);
-      }
-      const double vnorm = std::sqrt(vsq);
-      for (size_t t = 0; t < num_tiles; ++t) {
-        const size_t begin = t * tile_rows;
-        const size_t end = std::min(n, begin + tile_rows);
-        double tlo = index->norms[begin];
-        double thi = index->norms[end - 1];
-        for (size_t i = begin; i < end; ++i) {
-          const double w =
-              std::abs(static_cast<double>(spec.coef_scale) * coef_perm[i]) *
-              vnorm;
-          tlo = std::min(tlo, static_cast<double>(index->norms[i]) - w);
-          thi = std::max(thi, static_cast<double>(index->norms[i]) + w);
-        }
-        lo[t] = static_cast<float>(std::max(0.0, tlo));
-        hi[t] = static_cast<float>(thi);
-      }
-    } else {
-      lo = index->tile_lo;
-      hi = index->tile_hi;
-    }
-
-    // Query norms through the same kernel reduction as the entity norms.
-    std::vector<float> zero(dim, 0.0f);
-    std::vector<float> qnorm(count_);
-    vec::Ops().l2_rows(zero.data(), qbuf_.data(), count_, qlen, dim,
-                       qnorm.data());
-    // Blocks of norm-adjacent queries share tile visit order and prune
-    // together. The sort key ends with the group-local index, so the order
-    // (and with it every counter) is deterministic.
-    std::vector<uint32_t> qorder(count_);
-    for (size_t i = 0; i < count_; ++i) qorder[i] = static_cast<uint32_t>(i);
-    std::sort(qorder.begin(), qorder.end(), [&](uint32_t a, uint32_t b) {
-      if (qnorm[a] != qnorm[b]) return qnorm[a] < qnorm[b];
-      return a < b;
-    });
-
-    const size_t query_block = static_cast<size_t>(options_.query_block);
-    out_.resize(query_block * tile_rows);
-    qpack_.resize(query_block * qlen);
-    const auto& ops = vec::Ops();
-    const NormIndex& idx = *index;
-
-    // Seed phase: each query first scans the tiles whose norm band
-    // brackets its own norm — with norm-sorted tiles those hold its
-    // nearest candidates along the only axis the bound sees — so both
-    // heaps are full and tight before the main sweep starts. Without
-    // this, the ascending-bound visit order fills the heaps with
-    // whatever low tile comes first, and every tile on the near side of
-    // the query's norm gets scanned before the threshold collapses.
-    const size_t kk = static_cast<size_t>(options_.k);
-    const size_t seed_count =
-        std::min(num_tiles, 1 + (kk + tile_rows - 1) / tile_rows);
-    std::vector<uint32_t> seed_tiles(count_ * seed_count);
-    std::vector<uint32_t> one(1);
-    for (size_t i = 0; i < count_; ++i) {
-      // Last tile whose low edge does not exceed the query norm. The
-      // unwidened tile_lo is only a placement heuristic here; seeds are
-      // warm-up, not a correctness bound.
-      size_t t0 = static_cast<size_t>(
-          std::upper_bound(idx.tile_lo.begin(), idx.tile_lo.end(),
-                           qnorm[i]) -
-          idx.tile_lo.begin());
-      if (t0 > 0) --t0;
-      uint32_t* seeds = seed_tiles.data() + i * seed_count;
-      size_t lo_t = t0;
-      size_t hi_t = t0;
-      size_t filled = 0;
-      seeds[filled++] = static_cast<uint32_t>(t0);
-      while (filled < seed_count) {
-        if (hi_t + 1 < num_tiles) {
-          seeds[filled++] = static_cast<uint32_t>(++hi_t);
-        } else {
-          seeds[filled++] = static_cast<uint32_t>(--lo_t);
-        }
-      }
-      std::sort(seeds, seeds + seed_count);
-      one[0] = static_cast<uint32_t>(i);
-      for (size_t s = 0; s < seed_count; ++s) {
-        const size_t base = static_cast<size_t>(seeds[s]) * tile_rows;
-        const size_t tile_n = std::min(tile_rows, n - base);
-        SweepBlock(ops, spec.kind, qbuf_.data() + i * qlen, qlen, 1, v,
-                   offset ? coef_perm.data() + base : nullptr,
-                   spec.coef_scale, index->rows.data() + base * dim, tile_n,
-                   dim, dim, out_.data(), tile_n);
-        ScanTile(
-            spec, one, out_.data(), tile_n, tile_n, base,
-            [&idx](size_t pos) { return static_cast<EntityId>(idx.perm[pos]); },
-            raw, filt);
-      }
-    }
-
-    std::vector<std::pair<float, uint32_t>> tile_order(num_tiles);
-    std::vector<uint32_t> active;
-    for (size_t qb = 0; qb < count_; qb += query_block) {
-      const size_t bq = std::min(query_block, count_ - qb);
-      const double block_min = qnorm[qorder[qb]];
-      const double block_max = qnorm[qorder[qb + bq - 1]];
-      for (size_t t = 0; t < num_tiles; ++t) {
-        const double bound = std::max(
-            {0.0, block_min - hi[t], static_cast<double>(lo[t]) - block_max});
-        tile_order[t] = {static_cast<float>(bound),
-                         static_cast<uint32_t>(t)};
-      }
-      std::sort(tile_order.begin(), tile_order.end());
-      for (const auto& [block_bound, t] : tile_order) {
-        const size_t base = static_cast<size_t>(t) * tile_rows;
-        const size_t tile_n = std::min(tile_rows, n - base);
-        active.clear();
-        for (size_t i = 0; i < bq; ++i) {
-          const uint32_t q = qorder[qb + i];
-          // Seed tiles were already scanned for this query; rescanning
-          // would push their entities into the heaps twice.
-          const uint32_t* seeds = seed_tiles.data() + q * seed_count;
-          bool seeded = false;
-          for (size_t s = 0; s < seed_count; ++s) {
-            if (seeds[s] == t) {
-              seeded = true;
-              break;
-            }
-          }
-          if (seeded) continue;
-          // A tile may be skipped for a query only once BOTH of its heaps
-          // are full and the tile's best possible score strictly misses
-          // the binding threshold (the filtered worst is <= the raw worst,
-          // so it is the one to beat). Ties must scan: an equal score can
-          // still enter on the entity-id tie-break.
-          if (raw[q].full() && (!filter_ || filt[q].full())) {
-            double bound =
-                std::max({0.0, static_cast<double>(qnorm[q]) - hi[t],
-                          static_cast<double>(lo[t]) - qnorm[q]});
-            // Conservative slack keeps the skip decision on the safe side
-            // of the kernels' float rounding.
-            bound = bound * (1.0 - 1e-5) - 1e-6;
-            const float worst =
-                filter_ ? filt[q].worst_score() : raw[q].worst_score();
-            if (-bound < static_cast<double>(worst)) {
-              ++tally_->tiles_pruned;
-              continue;
-            }
-          }
-          active.push_back(q);
-        }
-        if (active.empty()) continue;
-        for (size_t a = 0; a < active.size(); ++a) {
-          std::memcpy(qpack_.data() + a * qlen,
-                      qbuf_.data() + static_cast<size_t>(active[a]) * qlen,
-                      qlen * sizeof(float));
-        }
-        SweepBlock(ops, spec.kind, qpack_.data(), qlen, active.size(), v,
-                   offset ? coef_perm.data() + base : nullptr,
-                   spec.coef_scale, index->rows.data() + base * dim, tile_n,
-                   dim, dim, out_.data(), tile_n);
-        ScanTile(
-            spec, active, out_.data(), tile_n, tile_n, base,
-            [&idx](size_t pos) {
-              return static_cast<EntityId>(idx.perm[pos]);
-            },
-            raw, filt);
+        ScanTile(spec, qb, bq, out_.data(), tile_n, base, raw, filt);
       }
     }
   }
@@ -704,7 +350,6 @@ class GroupRunner {
   const TopKOptions& options_;
   std::span<const TopKQuery> queries_;
   const TripleStore* filter_;
-  NormIndexCache* cache_;
   std::vector<TopKResult>* results_;
   Tally* tally_;
 
@@ -716,7 +361,6 @@ class GroupRunner {
   std::vector<float> coef_;
   std::vector<float> v_;
   std::vector<float> qbuf_;
-  std::vector<float> qpack_;
   std::vector<float> out_;
   std::vector<Candidate> cands_;
   std::vector<uint64_t> keys_;
@@ -739,10 +383,10 @@ std::vector<TopKResult> TopKEngine::Run(std::span<const TopKQuery> queries,
   std::vector<TopKResult> results(queries.size());
   if (queries.empty()) return results;
 
-  // Same-(direction, relation) queries share one sweep description, one
-  // set of blocked kernel calls and one norm index, so adjacency is the
-  // whole game. The sort is stable and groups are sharded whole, which
-  // keeps results and counters bit-identical across thread counts.
+  // Same-(direction, relation) queries share one sweep description and one
+  // set of blocked kernel calls, so adjacency is the whole game. The sort
+  // is stable and groups are sharded whole, which keeps results and
+  // counters bit-identical across thread counts.
   std::vector<size_t> order(queries.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -765,11 +409,10 @@ std::vector<TopKResult> TopKEngine::Run(std::span<const TopKQuery> queries,
 
   const int planned = PlannedShards(groups.size(), options_.threads);
   std::vector<Tally> tallies(static_cast<size_t>(std::max(planned, 1)));
-  NormIndexCache cache;
   ParallelFor(groups.size(), options_.threads,
               [&](size_t gbegin, size_t gend, int shard) {
                 GroupRunner runner(predictor_, options_, queries, filter,
-                                   &cache, &results,
+                                   &results,
                                    &tallies[static_cast<size_t>(shard)]);
                 for (size_t g = gbegin; g < gend; ++g) {
                   runner.ProcessGroup(order.data() + groups[g].first,
@@ -779,20 +422,16 @@ std::vector<TopKResult> TopKEngine::Run(std::span<const TopKQuery> queries,
 
   Tally total;
   for (const Tally& t : tallies) {
-    total.tiles_pruned += t.tiles_pruned;
     total.entities_scored += t.entities_scored;
     total.heap_pushes += t.heap_pushes;
     total.queries_batched += t.queries_batched;
   }
-  static obs::Counter& tiles_pruned =
-      obs::Registry::Get().GetCounter(obs::kTopKTilesPruned);
   static obs::Counter& entities_scored =
       obs::Registry::Get().GetCounter(obs::kTopKEntitiesScored);
   static obs::Counter& heap_pushes =
       obs::Registry::Get().GetCounter(obs::kTopKHeapPushes);
   static obs::Counter& queries_batched =
       obs::Registry::Get().GetCounter(obs::kTopKQueriesBatched);
-  tiles_pruned.Add(total.tiles_pruned);
   entities_scored.Add(total.entities_scored);
   heap_pushes.Add(total.heap_pushes);
   queries_batched.Add(total.queries_batched);

@@ -1,7 +1,7 @@
 // Top-K retrieval fast path (DESIGN.md "Top-K retrieval").
 //
 // Answers "which K entities score best for this query" without
-// materializing the full score vector the ranking protocol sweeps. Three
+// materializing the full score vector the ranking protocol sweeps. Two
 // mechanisms stack:
 //
 //   1. Blocked multi-query sweeps — queries that share a (direction,
@@ -12,15 +12,9 @@
 //      (score desc, entity asc) replaces the full score vector; the
 //      entity-id tie-break makes results a pure function of the model, so
 //      they are bit-identical across KGC_THREADS and kernel paths.
-//   3. Exact norm-bound pruning (distance sweeps only) — per-entity norms,
-//      computed once per run and sorted into norm-coherent tiles, give the
-//      lower bound dist(q, e) >= | ||q|| - ||e|| | per tile; tiles whose
-//      bound cannot beat the heap threshold are skipped entirely. The bound
-//      is exact for L2 (reverse triangle inequality), valid for L1 via
-//      ||x||_1 >= ||x||_2, and widened per row for the offset kinds
-//      (TransH/TransD) by |coef| * ||v||. Dot-product and complex-modulus
-//      sweeps are never pruned. A conservative floating-point slack keeps
-//      the skip decision on the safe side of kernel rounding.
+//
+// Every entity of the table is scored; DESIGN.md says why there is no
+// pruning.
 //
 // Every per-(query, row) score is produced by the same fixed-order kernel
 // reduction as ScoreTails/ScoreHeads, so the fast path's top-K lists equal
@@ -43,18 +37,12 @@ namespace kgc {
 struct TopKOptions {
   /// Entries kept per query (raw and filtered lists each).
   int k = 10;
-  /// RankerOptions routing switch: when set, EvaluatePredictor resolves
-  /// Hits@K through the fast path (rank/MRR keep the full sweep).
-  bool enabled = false;
-  /// Norm-bound tile pruning for distance sweeps. Results are bit-identical
-  /// on or off; off only costs the skipped work.
-  bool prune = true;
-  /// Assert fast top-K == oracle truncated ranking (lists, scores, watch
-  /// scores) for every query inside Run. Expensive: runs the full sweep.
+  /// Assert fast top-K == oracle truncated ranking (lists and scores) for
+  /// every query inside Run. Expensive: runs the full sweep.
   bool cross_check = false;
   /// Queries scored per blocked kernel call.
   int query_block = 8;
-  /// Entity rows per tile (also the pruning granularity).
+  /// Entity rows per tile.
   int tile_rows = 256;
   /// Worker threads (0 = KGC_THREADS / hardware default). Results and
   /// kgc.topk.* counters are bit-identical for any value.
@@ -67,10 +55,6 @@ struct TopKQuery {
   bool tails = true;
   RelationId relation = 0;
   EntityId anchor = 0;
-  /// Entities whose exact scores the caller needs regardless of whether
-  /// they reach the top-K (e.g. the true entity of a test triple). Scored
-  /// directly, outside the pruned sweep.
-  std::vector<EntityId> watch;
 };
 
 struct TopKEntry {
@@ -84,8 +68,6 @@ struct TopKResult {
   /// Same, excluding entities that complete a known triple in the filter
   /// store. Equals `raw` when Run was given no filter.
   std::vector<TopKEntry> filtered;
-  /// Exact scores for TopKQuery::watch, in order.
-  std::vector<float> watch_scores;
 };
 
 class TopKEngine {

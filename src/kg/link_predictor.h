@@ -14,8 +14,7 @@
 namespace kgc {
 
 /// The per-(query, row) kernel shape a model's sweep reduces to. The top-K
-/// engine (eval/topk.h) uses this to run blocked multi-query kernels and —
-/// for the distance kinds — exact norm-bound pruning.
+/// engine (eval/topk.h) uses this to run blocked multi-query kernels.
 enum class SweepKind {
   kNone = 0,   // no kernel sweep; engine falls back to full ScoreTails
   kDot,        // score = dot(q, row) (+ optional per-row bias)
@@ -30,8 +29,8 @@ enum class SweepKind {
 /// query vector against every candidate row with vecmath kernels. Pointers
 /// alias model-owned (possibly thread-local) storage; they stay valid on the
 /// calling thread until the model's next DescribeSweep/Score* call, so the
-/// caller must copy what it needs to keep (the engine copies `coef`
-/// immediately and reads `rows` only within one Run).
+/// caller must copy what it needs to keep (the engine copies `coef` and `v`
+/// immediately and reads `rows` only while it sweeps that group).
 struct SweepSpec {
   SweepKind kind = SweepKind::kNone;
   const float* rows = nullptr;  // candidate table, row e = entity e
@@ -44,13 +43,6 @@ struct SweepSpec {
   float coef_scale = 0.0f;      // sign/scale applied to coef
   const float* bias = nullptr;  // per-row additive bias (kDot only), or null
   bool negate = false;          // true: score = -kernel(q, row) (distances)
-  bool stable_rows = false;     // true: `rows` aliases storage that stays put
-                                // while the model's parameters are unchanged
-                                // (safe to reuse a norm index keyed on the
-                                // pointer for one engine run); false for
-                                // transient per-thread buffers such as
-                                // TransR's per-relation projection
-
 };
 
 class LinkPredictor {

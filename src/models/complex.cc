@@ -91,7 +91,6 @@ bool ComplEx::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->stride = 2 * static_cast<size_t>(params_.dim);
   spec->dim = spec->stride;
   spec->query_len = spec->stride;
-  spec->stable_rows = true;
   return true;
 }
 

@@ -204,7 +204,6 @@ bool ConvE::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->dim = spec->stride;
   spec->query_len = spec->stride;
   spec->bias = entity_bias_.raw();
-  spec->stable_rows = true;
   return true;
 }
 

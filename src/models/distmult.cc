@@ -87,7 +87,6 @@ bool DistMult::DescribeSweep(bool tails, RelationId r,
   spec->stride = static_cast<size_t>(params_.dim);
   spec->dim = spec->stride;
   spec->query_len = spec->stride;
-  spec->stable_rows = true;
   return true;
 }
 

@@ -104,7 +104,6 @@ bool Rescal::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->stride = static_cast<size_t>(params_.dim);
   spec->dim = spec->stride;
   spec->query_len = spec->stride;
-  spec->stable_rows = true;
   return true;
 }
 

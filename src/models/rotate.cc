@@ -110,7 +110,6 @@ bool RotatE::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->dim = d;  // half_dim for the cabs kernel
   spec->query_len = 2 * d;
   spec->negate = true;
-  spec->stable_rows = true;
   return true;
 }
 

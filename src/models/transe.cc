@@ -105,7 +105,6 @@ bool TransE::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->dim = spec->stride;
   spec->query_len = spec->stride;
   spec->negate = true;
-  spec->stable_rows = true;
   return true;
 }
 

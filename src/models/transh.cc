@@ -156,7 +156,6 @@ bool TransH::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->coef = coef.data();
   spec->coef_scale = 1.0f;
   spec->negate = true;
-  spec->stable_rows = true;
   return true;
 }
 

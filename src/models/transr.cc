@@ -184,9 +184,6 @@ bool TransR::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->dim = dim;
   spec->query_len = dim;
   spec->negate = true;
-  // The projected table is a thread-local buffer refilled per relation, so
-  // its address cannot key any cache that outlives this relation's group.
-  spec->stable_rows = false;
   return true;
 }
 

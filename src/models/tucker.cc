@@ -135,7 +135,6 @@ bool TuckER::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->stride = static_cast<size_t>(dim_e_);
   spec->dim = spec->stride;
   spec->query_len = spec->stride;
-  spec->stable_rows = true;
   return true;
 }
 

@@ -75,8 +75,8 @@ Registry::Registry() {
        {kTrainerEpochs, kTrainerExamples, kTrainerNegatives,
         kTrainerCheckpointSaves, kTrainerResumes, kRankerSweeps,
         kRankerTriplesRanked, kRankerScoreEvals, kRankerQueryCacheHits,
-        kRankerQueryCacheMisses, kTopKTilesPruned, kTopKEntitiesScored,
-        kTopKHeapPushes, kTopKQueriesBatched, kRedundancyPairsCompared,
+        kRankerQueryCacheMisses, kTopKEntitiesScored, kTopKHeapPushes,
+        kTopKQueriesBatched, kRedundancyPairsCompared,
         kRedundancyPairsFlagged, kRedundancyTriplesClassified,
         kAmieCandidates, kAmieRulesKept, kCacheModelHits, kCacheModelMisses,
         kCacheRankHits, kCacheRankMisses, kCacheQuarantined,

@@ -171,9 +171,8 @@ inline constexpr char kRankerQueryCacheHits[] = "kgc.ranker.query_cache_hits";
 inline constexpr char kRankerQueryCacheMisses[] =
     "kgc.ranker.query_cache_misses";
 inline constexpr char kRankerShardSeconds[] = "kgc.ranker.shard_seconds";
-// Top-K retrieval engine (eval/topk): work saved by norm-bound pruning and
-// work done by the blocked sweep + heap selection (see EXPERIMENTS.md).
-inline constexpr char kTopKTilesPruned[] = "kgc.topk.tiles_pruned";
+// Top-K retrieval engine (eval/topk): work done by the blocked sweep + heap
+// selection (see EXPERIMENTS.md).
 inline constexpr char kTopKEntitiesScored[] = "kgc.topk.entities_scored";
 inline constexpr char kTopKHeapPushes[] = "kgc.topk.heap_pushes";
 inline constexpr char kTopKQueriesBatched[] = "kgc.topk.queries_batched";

@@ -104,7 +104,6 @@ ServeOptions ServeOptions::FromEnv() {
   options.write_timeout_ms =
       EnvInt("KGC_SERVE_WRITE_TIMEOUT_MS", options.write_timeout_ms, 1);
   options.max_k = EnvInt("KGC_SERVE_MAX_K", options.max_k, 1);
-  options.prune = EnvBool("KGC_SERVE_PRUNE", options.prune);
   options.force_oracle =
       EnvBool("KGC_SERVE_FORCE_ORACLE", options.force_oracle);
   return options;
@@ -453,7 +452,6 @@ void Server::ServeBatch(std::vector<PendingRequest>& batch) {
     }
     TopKOptions topt;
     topt.k = static_cast<int>(std::max<uint32_t>(max_k_needed, 1));
-    topt.prune = options_.prune;
     topt.threads = 1;  // the blocked sweep is the batching; keep it exact
     const TripleStore& filter = gen->dataset.all_store();
     std::vector<TopKResult> results;

@@ -69,11 +69,8 @@ struct ServeOptions {
   int write_timeout_ms = 2000;
   /// K is clamped to this (and to num_entities).
   int max_k = 1024;
-  /// Norm-bound pruning in the top-K fast path (TopKOptions::prune). Off
-  /// by default: on trained distance models it skips few or no tiles, yet
-  /// every batch rebuilds its norm index (BENCH_scoring.json, topk rows
-  /// "*_trained"). Replies are bit-identical either way.
-  bool prune = false;
+  /// The top-K engine has no pruner; kept for kgcbench's provenance key.
+  static constexpr bool prune = false;
   /// Forces the oracle sweep — every OK top-K reply flags degraded.
   bool force_oracle = false;
   /// Seed for classification threshold fitting; kgc_load must use the same
@@ -82,10 +79,10 @@ struct ServeOptions {
 
   /// Defaults overlaid with KGC_SERVE_MAX_CONNECTIONS, KGC_SERVE_QUEUE,
   /// KGC_SERVE_MAX_BATCH, KGC_SERVE_LINGER_US, KGC_SERVE_DEADLINE_MS,
-  /// KGC_SERVE_WRITE_TIMEOUT_MS, KGC_SERVE_MAX_K, KGC_SERVE_PRUNE,
-  /// KGC_SERVE_FORCE_ORACLE. Integers must be whole decimal values, at
-  /// least 0 for the linger and at least 1 for the rest; booleans are 0, 1,
-  /// true or false. A bad value warns on stderr and keeps the default.
+  /// KGC_SERVE_WRITE_TIMEOUT_MS, KGC_SERVE_MAX_K, KGC_SERVE_FORCE_ORACLE.
+  /// Integers must be whole decimal values, at least 0 for the linger and
+  /// at least 1 for the rest; booleans are 0, 1, true or false. A bad value
+  /// warns on stderr and keeps the default.
   static ServeOptions FromEnv();
 };
 

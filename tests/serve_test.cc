@@ -174,8 +174,7 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
       "KGC_SERVE_MAX_CONNECTIONS", "KGC_SERVE_QUEUE",
       "KGC_SERVE_MAX_BATCH",       "KGC_SERVE_LINGER_US",
       "KGC_SERVE_DEADLINE_MS",     "KGC_SERVE_WRITE_TIMEOUT_MS",
-      "KGC_SERVE_MAX_K",           "KGC_SERVE_PRUNE",
-      "KGC_SERVE_FORCE_ORACLE"};
+      "KGC_SERVE_MAX_K",           "KGC_SERVE_FORCE_ORACLE"};
   const auto unset_all = [&] {
     for (const char* name : kVars) ::unsetenv(name);
   };
@@ -195,7 +194,6 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
       };
   const ServeOptions defaults;
   EXPECT_EQ(defaults.linger_us, 0);
-  EXPECT_FALSE(defaults.prune);
 
   {
     const auto [options, warnings] = parse({});
@@ -207,7 +205,6 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
     EXPECT_EQ(options.default_deadline_ms, defaults.default_deadline_ms);
     EXPECT_EQ(options.write_timeout_ms, defaults.write_timeout_ms);
     EXPECT_EQ(options.max_k, defaults.max_k);
-    EXPECT_FALSE(options.prune);
     EXPECT_FALSE(options.force_oracle);
   }
   {
@@ -218,7 +215,6 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
                                             {"KGC_SERVE_DEADLINE_MS", "250"},
                                             {"KGC_SERVE_WRITE_TIMEOUT_MS", "1"},
                                             {"KGC_SERVE_MAX_K", "10"},
-                                            {"KGC_SERVE_PRUNE", "1"},
                                             {"KGC_SERVE_FORCE_ORACLE", "true"}});
     EXPECT_EQ(warnings, 0);
     EXPECT_EQ(options.max_connections, 3);
@@ -228,27 +224,29 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
     EXPECT_EQ(options.default_deadline_ms, 250);
     EXPECT_EQ(options.write_timeout_ms, 1);
     EXPECT_EQ(options.max_k, 10);
-    EXPECT_TRUE(options.prune);
     EXPECT_TRUE(options.force_oracle);
   }
   {
-    // The boundaries themselves are accepted; "false" and "0" turn off.
+    // The boundaries themselves are accepted.
     const auto [options, warnings] = parse({{"KGC_SERVE_LINGER_US", "0"},
-                                            {"KGC_SERVE_MAX_BATCH", "1"},
-                                            {"KGC_SERVE_PRUNE", "false"},
-                                            {"KGC_SERVE_FORCE_ORACLE", "0"}});
+                                            {"KGC_SERVE_MAX_BATCH", "1"}});
     EXPECT_EQ(warnings, 0);
     EXPECT_EQ(options.linger_us, 0);
     EXPECT_EQ(options.max_batch, 1);
-    EXPECT_FALSE(options.prune);
-    EXPECT_FALSE(options.force_oracle);
+  }
+  for (const char* value : {"1", "true", "0", "false"}) {
+    // Every boolean spelling, on and off, without a warning.
+    const auto [options, warnings] =
+        parse({{"KGC_SERVE_FORCE_ORACLE", value}});
+    EXPECT_EQ(warnings, 0) << value;
+    EXPECT_EQ(options.force_oracle, value[0] == '1' || value[0] == 't')
+        << value;
   }
   {
     // "off" used to read as true; "abc" used to read as 0 connections.
     // Every bad value keeps its default and warns once.
     const auto [options, warnings] =
-        parse({{"KGC_SERVE_PRUNE", "off"},
-               {"KGC_SERVE_FORCE_ORACLE", "yes"},
+        parse({{"KGC_SERVE_FORCE_ORACLE", "off"},
                {"KGC_SERVE_MAX_CONNECTIONS", "abc"},
                {"KGC_SERVE_QUEUE", "0"},
                {"KGC_SERVE_MAX_BATCH", "-4"},
@@ -256,7 +254,7 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
                {"KGC_SERVE_DEADLINE_MS", "12ms"},
                {"KGC_SERVE_WRITE_TIMEOUT_MS", " 5"},
                {"KGC_SERVE_MAX_K", "99999999999"}});
-    EXPECT_EQ(warnings, 9);
+    EXPECT_EQ(warnings, 8);
     EXPECT_EQ(options.max_connections, defaults.max_connections);
     EXPECT_EQ(options.queue_capacity, defaults.queue_capacity);
     EXPECT_EQ(options.max_batch, defaults.max_batch);
@@ -264,7 +262,6 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
     EXPECT_EQ(options.default_deadline_ms, defaults.default_deadline_ms);
     EXPECT_EQ(options.write_timeout_ms, defaults.write_timeout_ms);
     EXPECT_EQ(options.max_k, defaults.max_k);
-    EXPECT_EQ(options.prune, defaults.prune);
     EXPECT_EQ(options.force_oracle, defaults.force_oracle);
   }
   {
@@ -377,8 +374,9 @@ TEST_F(ServeTest, ServesTopKClassifyAndPingBitIdentically) {
   EXPECT_EQ(pong->id, 1u);
   EXPECT_EQ(pong->generation, 0);
 
-  // Top-K (both directions, raw and filtered) must equal a local engine
-  // run bit for bit.
+  // Top-K (both directions, raw and filtered) must equal the full-sweep
+  // oracle bit for bit: an independent path from the server's blocked
+  // sweep.
   for (const bool tails : {true, false}) {
     for (const bool filtered : {true, false}) {
       Request request;
@@ -394,17 +392,13 @@ TEST_F(ServeTest, ServesTopKClassifyAndPingBitIdentically) {
       ASSERT_EQ(reply->status, ReplyStatus::kOk);
       EXPECT_EQ(reply->flags & serve::kReplyFlagDegraded, 0);
 
-      TopKOptions options;
-      options.k = 5;
-      options.threads = 1;
-      TopKEngine engine(*gen->model, options);
       TopKQuery query;
       query.tails = tails;
       query.relation = 0;
       query.anchor = 3;
-      const std::vector<TopKQuery> queries = {query};
-      auto local = engine.Run(queries, &gen->dataset.all_store());
-      const auto& expect = filtered ? local[0].filtered : local[0].raw;
+      const TopKResult local = TopKEngine::OracleTopK(
+          *gen->model, query, 5, &gen->dataset.all_store());
+      const auto& expect = filtered ? local.filtered : local.raw;
       ASSERT_EQ(reply->entries.size(), expect.size());
       for (size_t i = 0; i < expect.size(); ++i) {
         EXPECT_EQ(reply->entries[i].entity, expect[i].entity);

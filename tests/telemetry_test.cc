@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -196,6 +197,10 @@ TEST(ExporterTest, WritesMonotoneTimeseriesAndExposition) {
   obs::Registry::Get().ResetAllForTest();
   const std::string ts_path = testing::TempDir() + "/telemetry_ts.jsonl";
   const std::string prom_path = testing::TempDir() + "/telemetry.prom";
+  // An earlier run's files make the exporter truncate them on open, which
+  // can take tens of milliseconds on some disks; start from none.
+  std::remove(ts_path.c_str());
+  std::remove(prom_path.c_str());
 
   obs::Counter& counter =
       obs::Registry::Get().GetCounter("test.exporter.events");
@@ -212,6 +217,14 @@ TEST(ExporterTest, WritesMonotoneTimeseriesAndExposition) {
   for (int i = 0; i < 5; ++i) {
     counter.Add(100);
     std::this_thread::sleep_for(std::chrono::milliseconds(12));
+  }
+  // At least one periodic record before the stop adds the final one; wait
+  // for it under a deadline rather than trusting a fixed sleep.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (obs::ExporterRecordsWritten() < 1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   obs::StopGlobalExporter();
   EXPECT_FALSE(obs::ExporterRunning());

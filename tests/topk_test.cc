@@ -1,8 +1,7 @@
 // Tests for the top-K retrieval engine (eval/topk.h): oracle agreement
-// across all ten models, K values, thread counts, pruning on/off and
-// filtered/unfiltered; counter determinism across thread counts; kernel-path
-// invariance; the fallback path for sweep-less predictors; and the Hits@K
-// routing through EvaluatePredictor.
+// across all ten models, K values, thread counts and filtered/unfiltered;
+// counter determinism across thread counts; kernel-path invariance; and the
+// fallback path for sweep-less predictors.
 
 #include "eval/topk.h"
 
@@ -13,8 +12,6 @@
 #include <cstring>
 #include <vector>
 
-#include "datagen/presets.h"
-#include "eval/ranker.h"
 #include "models/model.h"
 #include "obs/metrics.h"
 #include "util/vecmath.h"
@@ -33,9 +30,8 @@ ModelHyperParams SmallParams(ModelType type) {
   return params;
 }
 
-// A deterministic query mix: both directions, several relations, shared
-// (direction, relation) groups of varying size, and a watch entity per
-// query so the watch path is always exercised.
+// A deterministic query mix: both directions, several relations, and shared
+// (direction, relation) groups of varying size.
 std::vector<TopKQuery> MakeQueries() {
   std::vector<TopKQuery> queries;
   for (int i = 0; i < 40; ++i) {
@@ -43,7 +39,6 @@ std::vector<TopKQuery> MakeQueries() {
     q.tails = (i % 3) != 0;
     q.relation = static_cast<RelationId>((i * 7) % kRelations);
     q.anchor = static_cast<EntityId>((i * 13) % kEntities);
-    q.watch = {static_cast<EntityId>((i * 29 + 1) % kEntities)};
     queries.push_back(q);
   }
   return queries;
@@ -81,52 +76,37 @@ void ExpectResultsEqual(const std::vector<TopKResult>& actual,
   for (size_t i = 0; i < actual.size(); ++i) {
     ExpectEntriesEqual(actual[i].raw, expected[i].raw, what);
     ExpectEntriesEqual(actual[i].filtered, expected[i].filtered, what);
-    ASSERT_EQ(actual[i].watch_scores.size(), expected[i].watch_scores.size());
-    for (size_t w = 0; w < actual[i].watch_scores.size(); ++w) {
-      EXPECT_EQ(Bits(actual[i].watch_scores[w]),
-                Bits(expected[i].watch_scores[w]))
-          << what << " watch " << w;
-    }
   }
 }
 
 class TopKModelTest : public ::testing::TestWithParam<ModelType> {};
 
-// The core contract: for every model, K, pruning setting and filter
-// setting, the fast path equals the truncated full ranking bit for bit.
+// The core contract: for every model, K and filter setting, the fast path
+// equals the truncated full ranking bit for bit.
 TEST_P(TopKModelTest, MatchesOracleBitForBit) {
   const auto model = CreateModel(GetParam(), kEntities, kRelations,
                                  SmallParams(GetParam()));
   const auto queries = MakeQueries();
   const TripleStore filter = MakeFilter();
   for (int k : {1, 10, 100}) {
-    for (bool prune : {false, true}) {
-      for (const TripleStore* f : {static_cast<const TripleStore*>(nullptr),
-                                   &filter}) {
-        TopKOptions options;
-        options.k = k;
-        options.prune = prune;
-        options.threads = 1;
-        options.tile_rows = 32;  // several tiles even at 150 entities
-        options.query_block = 4;
-        const TopKEngine engine(*model, options);
-        const auto results = engine.Run(queries, f);
-        ASSERT_EQ(results.size(), queries.size());
-        for (size_t i = 0; i < queries.size(); ++i) {
-          const TopKResult oracle =
-              TopKEngine::OracleTopK(*model, queries[i], k, f);
-          SCOPED_TRACE(testing::Message()
-                       << ModelTypeName(GetParam()) << " k=" << k
-                       << " prune=" << prune << " filtered=" << (f != nullptr)
-                       << " query " << i);
-          ExpectEntriesEqual(results[i].raw, oracle.raw, "raw");
-          ExpectEntriesEqual(results[i].filtered, oracle.filtered,
-                             "filtered");
-          ASSERT_EQ(results[i].watch_scores.size(),
-                    oracle.watch_scores.size());
-          EXPECT_EQ(Bits(results[i].watch_scores[0]),
-                    Bits(oracle.watch_scores[0]));
-        }
+    for (const TripleStore* f : {static_cast<const TripleStore*>(nullptr),
+                                 &filter}) {
+      TopKOptions options;
+      options.k = k;
+      options.threads = 1;
+      options.tile_rows = 32;  // several tiles even at 150 entities
+      options.query_block = 4;
+      const TopKEngine engine(*model, options);
+      const auto results = engine.Run(queries, f);
+      ASSERT_EQ(results.size(), queries.size());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const TopKResult oracle =
+            TopKEngine::OracleTopK(*model, queries[i], k, f);
+        SCOPED_TRACE(testing::Message()
+                     << ModelTypeName(GetParam()) << " k=" << k
+                     << " filtered=" << (f != nullptr) << " query " << i);
+        ExpectEntriesEqual(results[i].raw, oracle.raw, "raw");
+        ExpectEntriesEqual(results[i].filtered, oracle.filtered, "filtered");
       }
     }
   }
@@ -142,9 +122,8 @@ TEST_P(TopKModelTest, ThreadCountInvariance) {
 
   const auto counters = [] {
     std::vector<uint64_t> values;
-    for (const char* name :
-         {obs::kTopKTilesPruned, obs::kTopKEntitiesScored,
-          obs::kTopKHeapPushes, obs::kTopKQueriesBatched}) {
+    for (const char* name : {obs::kTopKEntitiesScored, obs::kTopKHeapPushes,
+                             obs::kTopKQueriesBatched}) {
       values.push_back(obs::Registry::Get().GetCounter(name).value());
     }
     return values;
@@ -280,38 +259,6 @@ TEST(TopKOptionsTest, KLargerThanEntityCountReturnsEverything) {
     EXPECT_TRUE(prev.score > cur.score ||
                 (prev.score == cur.score && prev.entity < cur.entity));
   }
-}
-
-// Hits@K routed through the fast path must agree with the classic full
-// ranking sweep on a real dataset (random float scores make exact-score
-// ties — the only semantic difference — vanishingly unlikely), and must
-// leave MR/MRR untouched.
-TEST(TopKHitsRoutingTest, MatchesFullSweepHits) {
-  const SyntheticKg kg = GenerateTiny(42);
-  const auto model =
-      CreateModel(ModelType::kTransE, kg.dataset.num_entities(),
-                  kg.dataset.num_relations(),
-                  SmallParams(ModelType::kTransE));
-  RankerOptions base;
-  base.threads = 2;
-  const LinkPredictionMetrics classic =
-      EvaluatePredictor(*model, kg.dataset, base);
-
-  RankerOptions routed = base;
-  routed.topk.enabled = true;
-  routed.topk.cross_check = true;  // belt and braces: oracle-verify inside
-  const LinkPredictionMetrics fast =
-      EvaluatePredictor(*model, kg.dataset, routed);
-
-  EXPECT_EQ(fast.num_triples, classic.num_triples);
-  EXPECT_EQ(fast.mr, classic.mr);
-  EXPECT_EQ(fast.mrr, classic.mrr);
-  EXPECT_EQ(fast.fmr, classic.fmr);
-  EXPECT_EQ(fast.fmrr, classic.fmrr);
-  EXPECT_DOUBLE_EQ(fast.hits1, classic.hits1);
-  EXPECT_DOUBLE_EQ(fast.hits10, classic.hits10);
-  EXPECT_DOUBLE_EQ(fast.fhits1, classic.fhits1);
-  EXPECT_DOUBLE_EQ(fast.fhits10, classic.fhits10);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // Opens the same snapshot registry as the server, precomputes a
 // deterministic pool of top-K and classification queries AND their
-// expected reply-body CRC-32s locally (TopKEngine results and fitted
+// expected reply-body CRC-32s locally (full-sweep top-K lists and fitted
 // classification thresholds are bit-identical pure functions of the model,
 // so client-side recomputation is a valid oracle), then drives the server
 // from --connections closed-loop connections for --duration-s seconds.
@@ -62,7 +62,6 @@ using kgc::SnapshotRegistry;
 using kgc::Status;
 using kgc::StrFormat;
 using kgc::TopKEngine;
-using kgc::TopKOptions;
 using kgc::TopKQuery;
 using kgc::Triple;
 using kgc::serve::ConnectUnix;
@@ -130,9 +129,10 @@ struct LoadStats {
 };
 
 /// Builds the query pool and its expected fingerprints from the local
-/// model. Mirrors the server's scoring paths exactly: one TopKEngine run
-/// (threads=1 — results are thread-count-invariant anyway), thresholds
-/// fitted with the server's default classification seed.
+/// model. Top-K lists come from TopKEngine::OracleTopK, the full
+/// ScoreTails/ScoreHeads sweep, so the server's blocked sweep is checked
+/// against an independent path; thresholds are fitted with the server's
+/// default classification seed.
 std::vector<PooledQuery> BuildPool(const kgc::LoadedGeneration& gen,
                                    const LoadFlags& flags) {
   const kgc::KgeModel& model = *gen.model;
@@ -147,8 +147,6 @@ std::vector<PooledQuery> BuildPool(const kgc::LoadedGeneration& gen,
   Rng rng(flags.seed);
   std::vector<PooledQuery> pool(static_cast<size_t>(
       std::max(flags.queries, 1)));
-  std::vector<size_t> topk_slots;
-  std::vector<TopKQuery> topk_queries;
   std::vector<size_t> classify_slots;
   std::vector<Triple> classify_triples;
   for (size_t i = 0; i < pool.size(); ++i) {
@@ -168,29 +166,19 @@ std::vector<PooledQuery> BuildPool(const kgc::LoadedGeneration& gen,
       request.relation = static_cast<RelationId>(rng.Uniform(num_relations));
       request.anchor = static_cast<EntityId>(rng.Uniform(num_entities));
       request.k = k;
-      topk_slots.push_back(i);
       TopKQuery query;
       query.tails = request.tails;
       query.relation = request.relation;
       query.anchor = request.anchor;
-      topk_queries.push_back(std::move(query));
+      const kgc::TopKResult expected = TopKEngine::OracleTopK(
+          model, query, static_cast<int>(k), &gen.dataset.all_store());
+      std::string body;
+      kgc::serve::AppendTopKBody(expected.filtered, &body);
+      pool[i].expected_crc = Crc32(body.data(), body.size());
     }
     request.deadline_ms = flags.deadline_ms;
   }
 
-  if (!topk_slots.empty()) {
-    TopKOptions options;
-    options.k = static_cast<int>(k);
-    options.threads = 1;
-    TopKEngine engine(model, options);
-    std::vector<kgc::TopKResult> results =
-        engine.Run(topk_queries, &gen.dataset.all_store());
-    for (size_t j = 0; j < topk_slots.size(); ++j) {
-      std::string body;
-      kgc::serve::AppendTopKBody(results[j].filtered, &body);
-      pool[topk_slots[j]].expected_crc = Crc32(body.data(), body.size());
-    }
-  }
   if (!classify_slots.empty()) {
     const kgc::ClassificationThresholds thresholds =
         kgc::FitClassificationThresholds(model, gen.dataset, {});
