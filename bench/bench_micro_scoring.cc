@@ -4,7 +4,8 @@
 //
 // After the google-benchmark suite, five sections write machine-readable
 // JSON to BENCH_scoring.json in the working directory:
-//   - thread_scaling:    the full RankTriples sweep at 1 / 2 / N workers;
+//   - thread_scaling:    the Figure 1 lineup ranked on FB15k-syn in one
+//                        RankTriples sweep at 1 / 2 / N / 8 workers;
 //   - kernel_paths:      per-model ScoreTails sweeps under the generic vs
 //                        the -march native kernel dispatch path;
 //   - query_dedup:       RankTriples on a duplicate-heavy test list with
@@ -36,6 +37,9 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -146,12 +150,15 @@ BENCHMARK(BM_RankOneTriple)->Arg(0)->Arg(6)->Arg(8)->Arg(9);
 struct ScalingPoint {
   int threads = 0;
   double seconds = 0.0;
+  /// Ranked (model, test triple) pairs per second.
   double triples_per_sec = 0.0;
 };
 
-/// Best-of-3 wall time of a full RankTriples sweep at `threads` workers.
-ScalingPoint MeasureRankingThroughput(const KgeModel& model,
-                                      const Dataset& dataset, int threads) {
+/// Best-of-3 wall time of one multi-predictor RankTriples sweep over
+/// `models` at `threads` workers; `tables` receives the last run's output.
+ScalingPoint MeasureRankingThroughput(
+    std::span<const LinkPredictor* const> models, const Dataset& dataset,
+    int threads, std::vector<std::vector<TripleRanks>>* tables) {
   RankerOptions options;
   options.threads = threads;
   ScalingPoint point;
@@ -159,26 +166,42 @@ ScalingPoint MeasureRankingThroughput(const KgeModel& model,
   point.seconds = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 3; ++rep) {
     const auto start = std::chrono::steady_clock::now();
-    const auto ranks = RankTriples(model, dataset, dataset.test(), options);
-    benchmark::DoNotOptimize(ranks.data());
+    *tables = RankTriples(models, dataset, dataset.test(), options);
+    benchmark::DoNotOptimize(tables->data());
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     point.seconds = std::min(point.seconds, elapsed.count());
   }
-  point.triples_per_sec =
-      static_cast<double>(dataset.test().size()) / point.seconds;
+  point.triples_per_sec = static_cast<double>(models.size()) *
+                          static_cast<double>(dataset.test().size()) /
+                          point.seconds;
   return point;
 }
 
-/// Times the ranking sweep at 1 / 2 / N threads (N = the KGC_THREADS /
-/// hardware default) plus 8 as a fixed reference point, checks the outputs
-/// stay bit-identical, and writes the thread_scaling JSON section.
+/// Times the paper-size ranking sweep — the six-model Figure 1 lineup on
+/// FB15k-syn in one multi-predictor RankTriples call, as WarmRanks runs it
+/// — at 1 / 2 / N threads (N = the KGC_THREADS / hardware default) plus 8
+/// as a fixed reference point, checks every table stays bit-identical to
+/// the 1-thread run, and writes the thread_scaling JSON section. The
+/// models are untrained: training does not change what a model costs to
+/// score or to rank.
 int RunThreadScaling(std::ostream& out) {
-  const SyntheticKg& kg = SharedKg();
-  const auto model = MakeModel(ModelType::kDistMult);
+  const SyntheticKg kg = GenerateSynthFb15k();
+  const Dataset& dataset = kg.dataset;
+  std::vector<std::unique_ptr<KgeModel>> owned;
+  std::vector<const LinkPredictor*> models;
+  std::string names;
+  for (ModelType type : FigureModelLineup()) {
+    owned.push_back(CreateModel(type, dataset.num_entities(),
+                                dataset.num_relations(),
+                                DefaultHyperParams(type)));
+    models.push_back(owned.back().get());
+    if (!names.empty()) names += ", ";
+    names += std::string("\"") + ModelTypeName(type) + "\"";
+  }
   // Build the filter store up front so the first timed run is not charged
   // for it.
-  kg.dataset.all_store();
+  dataset.all_store();
 
   std::vector<int> thread_counts = {1, 2, DefaultThreadCount(), 8};
   std::sort(thread_counts.begin(), thread_counts.end());
@@ -186,31 +209,36 @@ int RunThreadScaling(std::ostream& out) {
       std::unique(thread_counts.begin(), thread_counts.end()),
       thread_counts.end());
 
-  RankerOptions serial;
-  serial.threads = 1;
-  const auto baseline = RankTriples(*model, kg.dataset, kg.dataset.test(),
-                                    serial);
   std::vector<ScalingPoint> points;
+  std::vector<std::vector<TripleRanks>> baseline;
   bool bit_identical = true;
   for (int threads : thread_counts) {
-    points.push_back(MeasureRankingThroughput(*model, kg.dataset, threads));
-    RankerOptions options;
-    options.threads = threads;
-    const auto ranks = RankTriples(*model, kg.dataset, kg.dataset.test(),
-                                   options);
-    for (size_t i = 0; i < ranks.size(); ++i) {
-      if (ranks[i].head_raw != baseline[i].head_raw ||
-          ranks[i].head_filtered != baseline[i].head_filtered ||
-          ranks[i].tail_raw != baseline[i].tail_raw ||
-          ranks[i].tail_filtered != baseline[i].tail_filtered) {
-        bit_identical = false;
+    std::vector<std::vector<TripleRanks>> tables;
+    points.push_back(
+        MeasureRankingThroughput(models, dataset, threads, &tables));
+    if (baseline.empty()) {
+      baseline = std::move(tables);
+      continue;
+    }
+    for (size_t m = 0; m < tables.size(); ++m) {
+      for (size_t i = 0; i < tables[m].size(); ++i) {
+        const TripleRanks& a = tables[m][i];
+        const TripleRanks& b = baseline[m][i];
+        if (a.head_raw != b.head_raw || a.head_filtered != b.head_filtered ||
+            a.tail_raw != b.tail_raw || a.tail_filtered != b.tail_filtered) {
+          bit_identical = false;
+        }
       }
     }
   }
 
   const double base_rate = points.front().triples_per_sec;
   out << "  \"thread_scaling\": {\n"
-      << "    \"model\": \"" << ModelTypeName(ModelType::kDistMult) << "\",\n"
+      << "    \"dataset\": \"" << dataset.name() << "\",\n"
+      << "    \"num_entities\": " << dataset.num_entities() << ",\n"
+      << "    \"num_test_triples\": " << dataset.test().size() << ",\n"
+      << "    \"models\": [" << names << "],\n"
+      << "    \"trained\": false,\n"
       << "    \"bit_identical_across_thread_counts\": "
       << (bit_identical ? "true" : "false") << ",\n"
       << "    \"results\": [\n";
@@ -223,8 +251,9 @@ int RunThreadScaling(std::ostream& out) {
   }
   out << "    ]\n  }";
 
-  std::printf("\nthread scaling (RankTriples, %s, %zu test triples)\n",
-              ModelTypeName(ModelType::kDistMult), kg.dataset.test().size());
+  std::printf("\nthread scaling (RankTriples, %zu models x %zu test triples "
+              "of %s)\n",
+              models.size(), dataset.test().size(), dataset.name().c_str());
   for (const ScalingPoint& p : points) {
     std::printf("  threads=%d  %.3fs  %.0f triples/s  (%.2fx)\n", p.threads,
                 p.seconds, p.triples_per_sec, p.triples_per_sec / base_rate);

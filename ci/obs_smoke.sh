@@ -11,6 +11,8 @@
 #     kgc.timeseries.v1 JSONL file (monotone cumulative counters, a final
 #     record) plus a Prometheus-style exposition file, and the final
 #     cumulative counters must be bit-identical across KGC_THREADS
+#   - the 9-model Table 5 path must write the same .ranks bytes at any
+#     KGC_THREADS
 #
 # Usage: ci/obs_smoke.sh [build-dir]      (default: build)
 set -euo pipefail
@@ -18,12 +20,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 BENCH="${BUILD_DIR}/bench/bench_table1_dataset_stats"
+TABLE5="${BUILD_DIR}/bench/bench_table5_fb15k"
 
-if [[ ! -x "${BENCH}" ]]; then
-  echo "== building ${BENCH} =="
-  cmake -B "${BUILD_DIR}" -S .
-  cmake --build "${BUILD_DIR}" -j "$(nproc)" --target bench_table1_dataset_stats
-fi
+for target in "${BENCH}" "${TABLE5}"; do
+  if [[ ! -x "${target}" ]]; then
+    echo "== building ${target} =="
+    cmake -B "${BUILD_DIR}" -S .
+    cmake --build "${BUILD_DIR}" -j "$(nproc)" --target "$(basename "${target}")"
+  fi
+done
 
 WORK_DIR="$(mktemp -d)"
 trap 'rm -rf "${WORK_DIR}"' EXIT
@@ -158,5 +163,36 @@ for prom in "${WORK_DIR}/t1.prom" "${WORK_DIR}/t4.prom"; do
   grep -q 'quantile="0.99"' "${prom}"
 done
 echo "exposition OK: $(grep -c '^# TYPE' "${WORK_DIR}/t1.prom") metric types"
+
+echo "== Table 5 rank tables: same bytes at any KGC_THREADS =="
+# One sweep ranks all nine models, so TransH, TransR and TransD (whose
+# per-relation caches are thread-local) share threads with the other
+# models. Fill a cache at the default thread count, then drop the rank
+# tables and recompute them from the same models at 1 and at 4 threads:
+# all 20 tables (9 models plus AMIE, on both datasets) must keep their
+# bytes.
+T5_CACHE="${WORK_DIR}/table5"
+run_table5() {  # run_table5 [VAR=value...]
+  env "$@" KGC_EPOCH_SCALE=0.01 KGC_CACHE_DIR="${T5_CACHE}" "${TABLE5}" \
+    > /dev/null
+}
+rank_sums() { (cd "${T5_CACHE}" && sha256sum -- *.ranks); }
+run_table5
+reference="$(rank_sums)"
+tables="$(wc -l <<< "${reference}")"
+if [[ "${tables}" -ne 20 ]]; then
+  echo "ERROR: expected 20 Table 5 rank tables, found ${tables}" >&2
+  exit 1
+fi
+for threads in 1 4; do
+  rm -f "${T5_CACHE}"/*.ranks
+  run_table5 KGC_THREADS="${threads}"
+  if [[ "$(rank_sums)" != "${reference}" ]]; then
+    echo "ERROR: Table 5 rank tables differ at KGC_THREADS=${threads}" >&2
+    diff <(echo "${reference}") <(rank_sums) >&2 || true
+    exit 1
+  fi
+done
+echo "rank tables OK: ${tables} tables byte-identical at KGC_THREADS=1/4"
 
 echo "== obs smoke test passed =="

@@ -39,10 +39,11 @@ if [[ "${SANITIZERS}" == *thread* ]]; then
   # supervisor's watchdog thread + waitpid polling loop, and ingest_test
   # covers the rejected-files counter shared with parallel loaders.
   # kg_test and flat_set_test pin the storage substrate: TripleStore's flat
-  # membership sets are probed concurrently (const-only) from every ranking
-  # shard, so the batched probe path must be race-free. topk_test shards
-  # query groups across workers and asserts bit-identical results at 1/2/4
-  # threads.
+  # membership sets are probed concurrently (const-only) from every
+  # filtered top-K shard, so the batched probe path must be race-free
+  # (ranking shards resolve filtered ranks from the CSR adjacency and no
+  # longer probe). topk_test shards query groups across workers and
+  # asserts bit-identical results at 1/2/4 threads.
   export KGC_THREADS=4
   # report_signal_unsafe=0: the BenchTelemetry crash handler deliberately
   # flushes the run report from inside a fatal-signal handler (a

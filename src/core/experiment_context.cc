@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "util/file_util.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/stopwatch.h"
 
 namespace kgc {
@@ -227,14 +226,11 @@ void ExperimentContext::WarmRanks(const Dataset& dataset,
   obs::TraceSpan span("warm_ranks");
   span.AddArgStr("dataset", dataset.name().c_str());
   span.AddArgInt("models", static_cast<long long>(types.size()));
-  // Resolve cache state and train missing models serially up front (PR 1's
-  // bit-exact checkpoint resume depends on a deterministic serial training
-  // order), leaving only the independent ranking sweeps to overlap.
-  struct PendingRank {
-    std::string key;
-    const KgeModel* model = nullptr;
-  };
-  std::vector<PendingRank> pending;
+  // Resolve cache state and train missing models serially up front
+  // (bit-exact checkpoint resume depends on a deterministic serial training
+  // order), leaving only the ranking to run in parallel.
+  std::vector<std::string> keys;
+  std::vector<const LinkPredictor*> models;
   for (ModelType type : types) {
     const ModelHyperParams params = DefaultHyperParams(type);
     const TrainOptions train_options = ScaledTrainOptions(type);
@@ -243,33 +239,25 @@ void ExperimentContext::WarmRanks(const Dataset& dataset,
                             train_options.epochs, train_options.seed);
     if (ranks_.find(key) != ranks_.end()) continue;
     if (TryLoadRankCache(key, dataset.test().size()) != nullptr) continue;
-    pending.push_back({key, &GetModel(dataset, type)});
+    keys.push_back(key);
+    models.push_back(&GetModel(dataset, type));
   }
-  if (pending.empty()) return;
-
-  // Build the shared filter store before the workers need it.
-  dataset.all_store();
+  if (models.empty()) return;
 
   Stopwatch watch;
   RankerOptions ranker_options;
   ranker_options.threads = options_.threads;
-  std::vector<std::vector<TripleRanks>> computed(pending.size());
-  // One task per model; each inner RankTriples call is nested inside a
-  // worker and therefore runs its sweep serially (util/parallel.h), so the
-  // parallelism budget is spent across models, not within one.
-  ParallelFor(pending.size(), options_.threads,
-              [&](size_t begin, size_t end, int /*shard*/) {
-    for (size_t i = begin; i < end; ++i) {
-      computed[i] = RankTriples(*pending[i].model, dataset, dataset.test(),
-                                ranker_options);
-    }
-  });
+  // One sweep ranks every pending model: each shard of query groups carries
+  // all of them, so the shards stay balanced however much the models'
+  // costs differ, and the sweep's phase deadline covers the whole lineup.
+  std::vector<std::vector<TripleRanks>> computed =
+      RankTriples(models, dataset, dataset.test(), ranker_options);
   LogInfo("ranked %zu models x %zu test triples of %s in %.1fs",
-          pending.size(), dataset.test().size(), dataset.name().c_str(),
+          models.size(), dataset.test().size(), dataset.name().c_str(),
           watch.ElapsedSeconds());
-  for (size_t i = 0; i < pending.size(); ++i) {
-    StoreRankCache(pending[i].key, computed[i]);
-    ranks_.emplace(pending[i].key, std::move(computed[i]));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    StoreRankCache(keys[i], computed[i]);
+    ranks_.emplace(keys[i], std::move(computed[i]));
   }
 }
 
@@ -325,6 +313,11 @@ StatusOr<std::vector<TripleRanks>> LoadRanks(const std::string& path) {
   }
   auto count = reader->ReadU64();
   if (!count.ok()) return count.status();
+  // Each entry is 3 x i32 + 4 x f64 = 44 bytes: a count the payload cannot
+  // hold is corruption, rejected before it sizes an allocation.
+  if (*count > reader->remaining() / 44) {
+    return Status::IoError("bad rank cache entry count: " + path);
+  }
   std::vector<TripleRanks> ranks;
   ranks.reserve(static_cast<size_t>(*count));
   for (uint64_t i = 0; i < *count; ++i) {

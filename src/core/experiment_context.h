@@ -77,10 +77,12 @@ class ExperimentContext {
       const std::string& label);
 
   /// Computes (and caches) the rank tables of every listed model, training
-  /// any missing models serially first, then overlapping the independent
-  /// per-model ranking sweeps across worker threads. Subsequent GetRanks
-  /// calls hit the in-memory cache. Tables are byte-identical to the ones
-  /// GetRanks would have produced one at a time.
+  /// any missing models serially first, then ranking all of them in one
+  /// multi-predictor RankTriples sweep whose shards each carry every model.
+  /// The sweep runs on the serial path, so its `rank` phase deadline covers
+  /// the whole lineup at any thread count. Subsequent GetRanks calls hit
+  /// the in-memory cache. Tables are byte-identical to the ones GetRanks
+  /// would have produced one at a time.
   void WarmRanks(const Dataset& dataset, std::span<const ModelType> types);
 
   const ExperimentOptions& options() const { return options_; }

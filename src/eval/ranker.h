@@ -6,10 +6,15 @@
 // corrupted candidates that are themselves known facts (by default: any
 // triple in train/valid/test; Table-3 experiments pass the synthetic world
 // graph instead to emulate scoring against the full Freebase snapshot).
+//
+// A paper table ranks every model of its lineup on the same test split, so
+// RankTriples takes the whole list of predictors and ranks them in one
+// sharded sweep (ExperimentContext::WarmRanks makes exactly one such call).
 
 #ifndef KGC_EVAL_RANKER_H_
 #define KGC_EVAL_RANKER_H_
 
+#include <span>
 #include <vector>
 
 #include "eval/metrics.h"
@@ -30,26 +35,25 @@ struct RankerOptions {
   /// a fresh sweep would produce — so this only trades memory locality for
   /// skipped sweeps on duplicate-heavy test sets.
   bool dedup_queries = true;
-  /// Resolve the filtered rank by batch-probing the filter store's flat
-  /// membership set for the candidates that outscore (or tie) the true
-  /// entity, instead of marking the known-correct list in an
-  /// entities-sized scratch array. At million-entity scale this keeps the
-  /// sweep out of a second multi-megabyte array and overlaps the probe
-  /// cache misses via software prefetch. Ranks are bit-identical on or off:
-  /// the probe path only runs when the candidate list is duplicate-free
-  /// (duplicate known facts must count multiply, which only marking does)
-  /// and small enough; otherwise the triple falls back to marking.
-  bool probe_filter = true;
 };
 
-/// Ranks every triple of `test` under `predictor`. Results align with the
-/// order of `test`. The sweep runs in two passes (tail candidates, then head
-/// candidates), each sorted by (relation, anchor entity) so that triples
-/// sharing a query are adjacent and per-relation model caches (TransR)
-/// amortize their projections. Work is statically sharded across threads at
-/// query-group granularity — a group is never split — so ranks *and* all
-/// telemetry counters (score_evals, query_cache_hits/misses) are
-/// bit-identical for any thread count and for dedup on vs off.
+/// Ranks every triple of `test` under each of `predictors` in one sweep and
+/// returns one table per predictor, each aligned with the order of `test`.
+/// The sweep runs in two passes (tail candidates, then head candidates),
+/// each sorted by (relation, anchor entity) so that triples sharing a query
+/// are adjacent and per-relation model caches (TransR) amortize their
+/// projections. Work is statically sharded across threads at query-group
+/// granularity — a group is never split — and every shard ranks its groups
+/// under every predictor, so shards stay balanced however much the
+/// predictors' costs differ. Ranks *and* all telemetry counters
+/// (score_evals, query_cache_hits/misses) are bit-identical for any thread
+/// count, for dedup on vs off, and to one single-predictor call each.
+/// A known fact the filter store holds twice is filtered out twice.
+std::vector<std::vector<TripleRanks>> RankTriples(
+    std::span<const LinkPredictor* const> predictors, const Dataset& dataset,
+    const TripleList& test, const RankerOptions& options = {});
+
+/// One-predictor form of the sweep above.
 std::vector<TripleRanks> RankTriples(const LinkPredictor& predictor,
                                      const Dataset& dataset,
                                      const TripleList& test,

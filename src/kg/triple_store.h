@@ -179,9 +179,10 @@ class TripleStore {
   }
 
   /// Batched existence probes over PackTriple keys, software-prefetched so
-  /// independent probes overlap their cache misses (the filtered-ranking hot
-  /// path). If `found` is non-null it receives one 0/1 byte per key. Returns
-  /// the hit count and feeds the kgc.store.probe_batch_* counters.
+  /// independent probes overlap their cache misses (the filtered top-K
+  /// sweep's hot path). If `found` is non-null it receives one 0/1 byte per
+  /// key. Returns the hit count and feeds the kgc.store.probe_batch_*
+  /// counters.
   size_t ContainsBatch(std::span<const uint64_t> packed_triples,
                        uint8_t* found = nullptr) const;
 

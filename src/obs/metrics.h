@@ -196,7 +196,8 @@ inline constexpr char kDeadlineExpired[] = "kgc.deadline.expired";
 inline constexpr char kIngestRejectedFiles[] = "kgc.ingest.rejected_files";
 inline constexpr char kIngestRejectedLines[] = "kgc.ingest.rejected_lines";
 // Storage substrate (kg/triple_store): index footprint and the batched
-// membership-probe traffic of filtered ranking.
+// membership-probe traffic of the filtered top-K sweep and relation
+// prediction.
 inline constexpr char kStoreBytesPerTriple[] = "kgc.store.bytes_per_triple";
 inline constexpr char kStorePeakRssBytes[] = "kgc.store.peak_rss_bytes";
 inline constexpr char kStoreProbeBatchHits[] = "kgc.store.probe_batch_hits";

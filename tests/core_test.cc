@@ -6,7 +6,9 @@
 
 #include "core/audit.h"
 #include "core/experiment_context.h"
+#include "util/deadline.h"
 #include "util/file_util.h"
+#include "util/serialize.h"
 
 namespace kgc {
 namespace {
@@ -39,6 +41,21 @@ TEST(RankIoTest, SaveLoadRoundTrip) {
 TEST(RankIoTest, CorruptFileIsError) {
   const std::string path = TempCacheDir("kgc_ranks_corrupt.bin");
   ASSERT_TRUE(WriteStringToFile(path, "not a rank file").ok());
+  EXPECT_FALSE(LoadRanks(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(RankIoTest, OversizedEntryCountIsError) {
+  // A well-formed file (valid CRC footer) whose header declares 2^40
+  // entries over a one-entry payload: the loader must reject the count
+  // instead of sizing an allocation by it.
+  const std::string path = TempCacheDir("kgc_ranks_oversized.bin");
+  BinaryWriter writer;
+  writer.WriteU32(0x4b524e4bU);  // "KRNK"
+  writer.WriteU64(uint64_t{1} << 40);
+  for (int i = 0; i < 3; ++i) writer.WriteI32(i);
+  for (int i = 0; i < 4; ++i) writer.WriteDouble(1.0);
+  ASSERT_TRUE(writer.Flush(path).ok());
   EXPECT_FALSE(LoadRanks(path).ok());
   std::remove(path.c_str());
 }
@@ -102,6 +119,48 @@ TEST(ExperimentContextTest, ModelAndRankCachesWork) {
   }
   EXPECT_EQ(files, 2u);  // one model file + one rank file
   std::filesystem::remove_all(dir);
+}
+
+std::vector<std::string> g_warm_deadline_phases;
+void RecordWarmDeadline(const char* phase) {
+  g_warm_deadline_phases.emplace_back(phase);
+}
+
+// WarmRanks ranks its whole lineup in one sweep on the serial path, so the
+// sweep's phase boundaries check the deadline at every thread count (a
+// sweep nested in a ParallelFor worker would check it at none).
+TEST(ExperimentContextTest, WarmRanksHonoursPhaseDeadlineAtEveryThreadCount) {
+  const ModelType types[] = {ModelType::kTransE, ModelType::kDistMult};
+  const SyntheticKg tiny = GenerateTiny();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const std::string dir = TempCacheDir("kgc_ctx_warm_deadline");
+    std::filesystem::remove_all(dir);
+    ExperimentOptions options;
+    options.cache_dir = dir;
+    options.epoch_scale = 0.02;
+    options.threads = threads;
+    ExperimentContext context(options);
+    // Train before the budget is set: only the ranking is under test.
+    for (ModelType type : types) context.GetModel(tiny.dataset, type);
+
+    g_warm_deadline_phases.clear();
+    SetDeadlineHandlerForTest(RecordWarmDeadline);
+    // One nanosecond: every boundary observes an already-expired clock.
+    Deadline::Global().SetPhaseBudget(1e-9);
+    context.WarmRanks(tiny.dataset, types);
+    Deadline::Global().SetPhaseBudget(0);
+    SetDeadlineHandlerForTest(nullptr);
+
+    ASSERT_FALSE(g_warm_deadline_phases.empty());
+    EXPECT_EQ(g_warm_deadline_phases.front(), "rank_pass");
+    EXPECT_EQ(g_warm_deadline_phases.back(), "rank_done");
+    for (ModelType type : types) {
+      EXPECT_EQ(context.GetRanks(tiny.dataset, type).size(),
+                tiny.dataset.test().size());
+    }
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(ExperimentContextTest, SuitesAreConsistent) {

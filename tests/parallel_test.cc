@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -110,11 +113,14 @@ TEST(ThreadPoolTest, EnsureWorkersGrowsButNeverShrinks) {
 // --- Shared fixtures -------------------------------------------------------
 
 /// Deterministic stateless predictor: scores are a pure hash of the query,
-/// so parallel and serial sweeps see identical inputs.
+/// so parallel and serial sweeps see identical inputs. `salt` gives each
+/// instance its own scores; `rounds` repeats the hash to make one instance
+/// cost more per score than another.
 class HashPredictor final : public LinkPredictor {
  public:
-  explicit HashPredictor(int32_t num_entities)
-      : num_entities_(num_entities) {}
+  explicit HashPredictor(int32_t num_entities, uint64_t salt = 0,
+                         int rounds = 1)
+      : num_entities_(num_entities), salt_(salt), rounds_(rounds) {}
   const char* name() const override { return "Hash"; }
   int32_t num_entities() const override { return num_entities_; }
   void ScoreTails(EntityId h, RelationId r,
@@ -127,15 +133,19 @@ class HashPredictor final : public LinkPredictor {
   }
 
  private:
-  static void Fill(uint64_t anchor, RelationId r, std::span<float> out) {
+  void Fill(uint64_t anchor, RelationId r, std::span<float> out) const {
     for (size_t e = 0; e < out.size(); ++e) {
-      uint64_t state =
-          anchor * 1000003ULL + static_cast<uint64_t>(r) * 31ULL + e;
+      uint64_t state = anchor * 1000003ULL +
+                       static_cast<uint64_t>(r) * 31ULL + e + salt_;
+      uint64_t hash = 0;
+      for (int i = 0; i < rounds_; ++i) hash = SplitMix64(state);
       // Keep ~16 bits so score ties (exercising tie-averaging) do occur.
-      out[e] = static_cast<float>(SplitMix64(state) >> 48);
+      out[e] = static_cast<float>(hash >> 48);
     }
   }
   int32_t num_entities_;
+  uint64_t salt_;
+  int rounds_;
 };
 
 /// A dataset engineered to trip every detector: duplicate, reverse-duplicate,
@@ -210,6 +220,25 @@ void ExpectSameRanks(const std::vector<TripleRanks>& a,
     EXPECT_EQ(a[i].tail_raw, b[i].tail_raw) << "triple " << i;
     EXPECT_EQ(a[i].tail_filtered, b[i].tail_filtered) << "triple " << i;
   }
+}
+
+/// The bytes of every field of a rank table, in order (what the rank cache
+/// serializes; struct padding excluded).
+std::string TableBytes(const std::vector<TripleRanks>& table) {
+  std::string bytes;
+  const auto append = [&](const auto& field) {
+    bytes.append(reinterpret_cast<const char*>(&field), sizeof(field));
+  };
+  for (const TripleRanks& r : table) {
+    append(r.triple.head);
+    append(r.triple.relation);
+    append(r.triple.tail);
+    append(r.head_raw);
+    append(r.head_filtered);
+    append(r.tail_raw);
+    append(r.tail_filtered);
+  }
+  return bytes;
 }
 
 void ExpectSameOverlaps(const std::vector<RelationPairOverlap>& a,
@@ -306,13 +335,89 @@ TEST(ParallelDeterminismTest, QueryDedupIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelDeterminismTest, ProbeFilterIsBitIdenticalAcrossThreadCounts) {
-  // Mixed-eligibility workload: relation 0 carries duplicate train triples,
-  // so its query groups must fall back to the marking sweep (duplicates
-  // count multiply toward the filtered rank), while relation 1 is clean and
-  // takes the batched flat-set probe path. Ranks — and the probe hit/miss
-  // counters — must be bit-identical for probe on/off and every thread
-  // count.
+TEST(ParallelDeterminismTest, MultiPredictorSweepMatchesSingleCalls) {
+  // Three predictors of unequal cost over a test list with repeated
+  // queries: one sweep over all three must return, at every thread count,
+  // the tables of one single-predictor call each, and move every ranker
+  // counter by exactly the sum of those calls.
+  const int32_t num_entities = 35;
+  Vocab vocab;
+  for (int32_t i = 0; i < num_entities; ++i) {
+    vocab.InternEntity("e" + std::to_string(i));
+  }
+  for (int r = 0; r < 3; ++r) vocab.InternRelation("r" + std::to_string(r));
+  Rng rng(23);
+  TripleList train;
+  TripleList test;
+  for (int i = 0; i < 150; ++i) {
+    // Few anchors, so many test triples share a query with an earlier one.
+    Triple t{static_cast<EntityId>(rng.Uniform(6)),
+             static_cast<RelationId>(rng.Uniform(3)),
+             static_cast<EntityId>(rng.Uniform(num_entities))};
+    (i % 3 == 0 ? test : train).push_back(t);
+  }
+  test.push_back(test.front());  // an exact repeat as well
+  const Dataset dataset("multi", std::move(vocab), std::move(train), {},
+                        std::move(test));
+  const HashPredictor cheap(num_entities, /*salt=*/0, /*rounds=*/1);
+  const HashPredictor middle(num_entities, /*salt=*/101, /*rounds=*/8);
+  const HashPredictor costly(num_entities, /*salt=*/202, /*rounds=*/64);
+  const LinkPredictor* const predictors[] = {&cheap, &middle, &costly};
+
+  const char* const counter_names[] = {
+      obs::kRankerSweeps, obs::kRankerTriplesRanked, obs::kRankerScoreEvals,
+      obs::kRankerQueryCacheHits, obs::kRankerQueryCacheMisses};
+  const auto read_counters = [&] {
+    std::vector<uint64_t> values;
+    for (const char* name : counter_names) {
+      values.push_back(obs::Registry::Get().GetCounter(name).value());
+    }
+    return values;
+  };
+
+  for (int threads : {1, 2, 3, 4}) {
+    RankerOptions options;
+    options.threads = threads;
+    std::vector<std::vector<TripleRanks>> singles;
+    const std::vector<uint64_t> before_singles = read_counters();
+    for (const LinkPredictor* predictor : predictors) {
+      singles.push_back(
+          RankTriples(*predictor, dataset, dataset.test(), options));
+    }
+    const std::vector<uint64_t> before_sweep = read_counters();
+    const auto tables =
+        RankTriples(predictors, dataset, dataset.test(), options);
+    const std::vector<uint64_t> after_sweep = read_counters();
+
+    ASSERT_EQ(tables.size(), singles.size());
+    for (size_t p = 0; p < tables.size(); ++p) {
+      SCOPED_TRACE(testing::Message() << "threads " << threads
+                                      << " predictor " << p);
+      ExpectSameRanks(singles[p], tables[p]);
+      EXPECT_EQ(TableBytes(tables[p]), TableBytes(singles[p]));
+    }
+    // The salts must give the tables different ranks, or a sweep that
+    // wrote one predictor's ranks into every table would pass.
+    EXPECT_NE(TableBytes(singles[0]), TableBytes(singles[1]));
+    EXPECT_NE(TableBytes(singles[1]), TableBytes(singles[2]));
+    for (size_t c = 0; c < std::size(counter_names); ++c) {
+      EXPECT_EQ(after_sweep[c] - before_sweep[c],
+                before_sweep[c] - before_singles[c])
+          << counter_names[c] << " at threads " << threads;
+    }
+    EXPECT_EQ(after_sweep[0] - before_sweep[0], 3u);  // one per table
+    // The repeated queries must hit the query cache, or the list would
+    // not exercise it.
+    EXPECT_GT(after_sweep[3] - before_sweep[3], 0u);
+  }
+}
+
+TEST(ParallelDeterminismTest, DuplicateFactsFilterOncePerStoredCopy) {
+  // Relation-0 train triples are partly stored twice. The filtered rank
+  // takes a known fact out once per stored copy, so a duplicated fact that
+  // outscores the true entity lowers the rank by two. Ranks must equal a
+  // brute-force reference that counts every candidate once per stored copy
+  // of its triple, at every thread count.
   const int32_t num_entities = 30;
   Vocab vocab;
   for (int32_t i = 0; i < num_entities; ++i) {
@@ -334,54 +439,82 @@ TEST(ParallelDeterminismTest, ProbeFilterIsBitIdenticalAcrossThreadCounts) {
       if (t.relation == 0 && i % 3 == 0) train.push_back(t);
     }
   }
-  const Dataset dataset("probe", std::move(vocab), std::move(train), {},
+  const Dataset dataset("dups", std::move(vocab), std::move(train), {},
                         std::move(test));
   const HashPredictor predictor(num_entities);
 
-  obs::Counter& probe_hits =
-      obs::Registry::Get().GetCounter(obs::kStoreProbeBatchHits);
-  obs::Counter& probe_misses =
-      obs::Registry::Get().GetCounter(obs::kStoreProbeBatchMisses);
-
-  RankerOptions marking;
-  marking.threads = 1;
-  marking.probe_filter = false;
-  const auto baseline =
-      RankTriples(predictor, dataset, dataset.test(), marking);
-  ASSERT_FALSE(baseline.empty());
-
-  uint64_t expected_hits_delta = 0;
-  uint64_t expected_misses_delta = 0;
-  bool first_probe_run = true;
-  for (bool probe : {false, true}) {
-    for (int threads : {1, 2, 4}) {
-      RankerOptions options;
-      options.threads = threads;
-      options.probe_filter = probe;
-      const uint64_t hits_before = probe_hits.value();
-      const uint64_t misses_before = probe_misses.value();
-      ExpectSameRanks(
-          baseline, RankTriples(predictor, dataset, dataset.test(), options));
-      const uint64_t hits_delta = probe_hits.value() - hits_before;
-      const uint64_t misses_delta = probe_misses.value() - misses_before;
-      if (!probe) {
-        // The marking path never touches the flat-set probe counters.
-        EXPECT_EQ(hits_delta, 0u);
-        EXPECT_EQ(misses_delta, 0u);
-      } else if (first_probe_run) {
-        // The clean relation must actually exercise the probe path,
-        // otherwise the on/off comparison is vacuous.
-        EXPECT_GT(hits_delta + misses_delta, 0u);
-        expected_hits_delta = hits_delta;
-        expected_misses_delta = misses_delta;
-        first_probe_run = false;
-      } else {
-        // Probe traffic is a pure function of the test list — identical for
-        // every thread count.
-        EXPECT_EQ(hits_delta, expected_hits_delta) << threads;
-        EXPECT_EQ(misses_delta, expected_misses_delta) << threads;
+  // Stored copies of every fact the default filter (train + valid + test)
+  // holds.
+  std::map<std::tuple<EntityId, RelationId, EntityId>, int> copies;
+  for (const TripleList* split :
+       {&dataset.train(), &dataset.valid(), &dataset.test()}) {
+    for (const Triple& t : *split) ++copies[{t.head, t.relation, t.tail}];
+  }
+  // Brute-force tie-averaged rank of `truth` among `scores`; `copies_of(e)`
+  // is how many times candidate e is a stored fact.
+  const auto reference = [&](const std::vector<float>& scores,
+                             EntityId truth, const auto& copies_of,
+                             double* raw, double* filtered) {
+    const float s_true = scores[static_cast<size_t>(truth)];
+    double greater = 0;
+    double equal = 0;
+    double greater_known = 0;
+    double equal_known = 0;
+    for (EntityId e = 0; e < num_entities; ++e) {
+      if (e == truth) continue;
+      const float s = scores[static_cast<size_t>(e)];
+      if (s > s_true) {
+        greater += 1;
+        greater_known += copies_of(e);
+      } else if (s == s_true) {
+        equal += 1;
+        equal_known += copies_of(e);
       }
     }
+    *raw = greater + equal / 2.0 + 1.0;
+    *filtered = (greater - greater_known) + (equal - equal_known) / 2.0 + 1.0;
+  };
+  std::vector<TripleRanks> expected(dataset.test().size());
+  bool duplicate_filtered = false;
+  std::vector<float> scores(static_cast<size_t>(num_entities));
+  for (size_t i = 0; i < dataset.test().size(); ++i) {
+    const Triple& t = dataset.test()[i];
+    TripleRanks& out = expected[i];
+    out.triple = t;
+    predictor.ScoreTails(t.head, t.relation, scores);
+    const auto tail_copies = [&](EntityId e) {
+      const auto it = copies.find({t.head, t.relation, e});
+      return it == copies.end() ? 0 : it->second;
+    };
+    reference(scores, t.tail, tail_copies, &out.tail_raw,
+              &out.tail_filtered);
+    predictor.ScoreHeads(t.relation, t.tail, scores);
+    const auto head_copies = [&](EntityId e) {
+      const auto it = copies.find({e, t.relation, t.tail});
+      return it == copies.end() ? 0 : it->second;
+    };
+    reference(scores, t.head, head_copies, &out.head_raw,
+              &out.head_filtered);
+    // Would counting each fact once give a different rank?
+    double raw = 0;
+    double once = 0;
+    const auto tail_once = [&](EntityId e) {
+      return tail_copies(e) > 0 ? 1 : 0;
+    };
+    predictor.ScoreTails(t.head, t.relation, scores);
+    reference(scores, t.tail, tail_once, &raw, &once);
+    if (once != out.tail_filtered) duplicate_filtered = true;
+  }
+  // Otherwise the duplicates never reach a filtered rank and the check is
+  // vacuous.
+  ASSERT_TRUE(duplicate_filtered);
+
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    RankerOptions options;
+    options.threads = threads;
+    ExpectSameRanks(expected,
+                    RankTriples(predictor, dataset, dataset.test(), options));
   }
 }
 
