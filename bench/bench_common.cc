@@ -267,7 +267,7 @@ std::vector<TopKQuery> MakeTopKBenchQueries(int32_t num_entities,
   return queries;
 }
 
-TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
+TopKBenchPoint MeasureTopKRetrieval(const KgeModel& model,
                                     const std::string& label,
                                     std::span<const TopKQuery> queries, int k,
                                     bool cross_check, int reps,
@@ -275,7 +275,7 @@ TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
                                     size_t queries_per_run) {
   TopKBenchPoint point;
   point.label = label;
-  point.num_entities = predictor.num_entities();
+  point.num_entities = model.num_entities();
   point.num_queries = queries.size();
   point.k = k;
   point.filtered = filter != nullptr;
@@ -286,7 +286,7 @@ TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
   TopKOptions options;
   options.k = k;
   options.threads = 1;  // oracle is serial; compare core-for-core
-  const TopKEngine engine(predictor, options);
+  const TopKEngine engine(model, options);
   const auto run_all = [&](const TopKEngine& e) {
     for (size_t begin = 0; begin < queries.size();
          begin += point.queries_per_run) {
@@ -299,7 +299,7 @@ TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
   if (cross_check) {
     TopKOptions checked = options;
     checked.cross_check = true;  // aborts on any engine/oracle mismatch
-    run_all(TopKEngine(predictor, checked));
+    run_all(TopKEngine(model, checked));
     point.cross_checked = true;
   }
 
@@ -332,7 +332,7 @@ TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
   for (int rep = 0; rep < reps; ++rep) {
     Stopwatch watch;
     for (const TopKQuery& query : queries) {
-      TopKEngine::OracleTopK(predictor, query, k, filter);
+      TopKEngine::OracleTopK(model, query, k, filter);
     }
     const double seconds = watch.ElapsedSeconds();
     if (rep == 0 || seconds < point.oracle_seconds) {

@@ -108,7 +108,7 @@ struct TopKBenchPoint {
 /// set, one extra (untimed) engine pass executes with
 /// TopKOptions::cross_check — it aborts the process on any bit-level
 /// disagreement with the oracle.
-TopKBenchPoint MeasureTopKRetrieval(const LinkPredictor& predictor,
+TopKBenchPoint MeasureTopKRetrieval(const KgeModel& model,
                                     const std::string& label,
                                     std::span<const TopKQuery> queries, int k,
                                     bool cross_check, int reps,

@@ -2,15 +2,12 @@
 // throughput per model, plus triple-store lookup costs. These are the
 // throughput primitives the whole harness is built on.
 //
-// After the google-benchmark suite, five sections write machine-readable
+// After the google-benchmark suite, four sections write machine-readable
 // JSON to BENCH_scoring.json in the working directory:
 //   - thread_scaling:    the Figure 1 lineup ranked on FB15k-syn in one
 //                        RankTriples sweep at 1 / 2 / N / 8 workers;
 //   - kernel_paths:      per-model ScoreTails sweeps under the generic vs
 //                        the -march native kernel dispatch path;
-//   - query_dedup:       RankTriples on a duplicate-heavy test list with
-//                        query deduplication off vs on, with the
-//                        score_evals deltas;
 //   - exporter_overhead: the ScoreTails sweep with the live metrics
 //                        exporter off vs running at 100 ms;
 //   - topk:              the TopKEngine fast path vs the full-sweep oracle
@@ -337,106 +334,6 @@ void RunKernelPaths(std::ostream& out) {
   out << "    ]\n  }";
 }
 
-// --- Query deduplication ---------------------------------------------------
-
-/// Times RankTriples on a duplicate-heavy test list with query dedup off vs
-/// on (under each compiled kernel path), records the score_evals counter
-/// delta for each run, verifies ranks are bit-identical, and writes the
-/// query_dedup JSON section. Returns non-zero if ranks diverge.
-int RunQueryDedup(std::ostream& out) {
-  const vec::KernelPath active = ActiveKernelPath();
-  const SyntheticKg& kg = SharedKg();
-  const auto model = MakeModel(ModelType::kTransE);
-  // A few anchors fanned out over many tails: most triples share their
-  // (head, relation) query, and the shared tails make the reverse
-  // (relation, tail) queries heavily duplicated too.
-  TripleList dup;
-  for (size_t i = 0; i < 5; ++i) {
-    const Triple& base = kg.dataset.test()[i % kg.dataset.test().size()];
-    for (EntityId t = 0; t < 40; ++t) {
-      dup.push_back({base.head, base.relation, t});
-    }
-  }
-  obs::Counter& score_evals =
-      obs::Registry::Get().GetCounter(obs::kRankerScoreEvals);
-
-  struct DedupPoint {
-    const char* kernel;
-    bool dedup;
-    double seconds;
-    uint64_t evals;
-  };
-  std::vector<DedupPoint> points;
-  std::vector<TripleRanks> baseline;
-  bool bit_identical = true;
-  const std::vector<vec::KernelPath> paths =
-      vec::NativeKernelsAvailable()
-          ? std::vector<vec::KernelPath>{vec::KernelPath::kGeneric,
-                                         vec::KernelPath::kNative}
-          : std::vector<vec::KernelPath>{vec::KernelPath::kGeneric};
-  for (vec::KernelPath path : paths) {
-    vec::SetKernelPathForTest(path);
-    for (bool dedup : {false, true}) {
-      RankerOptions options;
-      options.threads = 1;
-      options.dedup_queries = dedup;
-      DedupPoint point;
-      point.kernel = vec::OpsFor(path).name;
-      point.dedup = dedup;
-      point.seconds = std::numeric_limits<double>::infinity();
-      std::vector<TripleRanks> ranks;
-      for (int rep = 0; rep < 3; ++rep) {
-        const uint64_t evals_before = score_evals.value();
-        const auto start = std::chrono::steady_clock::now();
-        ranks = RankTriples(*model, kg.dataset, dup, options);
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        point.seconds = std::min(point.seconds, elapsed.count());
-        point.evals = score_evals.value() - evals_before;
-      }
-      if (baseline.empty()) {
-        baseline = ranks;
-      } else {
-        for (size_t i = 0; i < ranks.size(); ++i) {
-          if (ranks[i].head_raw != baseline[i].head_raw ||
-              ranks[i].head_filtered != baseline[i].head_filtered ||
-              ranks[i].tail_raw != baseline[i].tail_raw ||
-              ranks[i].tail_filtered != baseline[i].tail_filtered) {
-            bit_identical = false;
-          }
-        }
-      }
-      points.push_back(point);
-    }
-  }
-  vec::SetKernelPathForTest(active);
-
-  out << "  \"query_dedup\": {\n"
-      << "    \"model\": \"" << ModelTypeName(ModelType::kTransE) << "\",\n"
-      << "    \"num_test_triples\": " << dup.size() << ",\n"
-      << "    \"bit_identical_dedup_on_vs_off\": "
-      << (bit_identical ? "true" : "false") << ",\n"
-      << "    \"results\": [\n";
-  std::printf("\nquery dedup (RankTriples, %zu duplicate-heavy triples)\n",
-              dup.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    const DedupPoint& p = points[i];
-    out << "      {\"kernel\": \"" << p.kernel << "\", \"dedup\": "
-        << (p.dedup ? "true" : "false") << ", \"seconds\": " << p.seconds
-        << ", \"score_evals\": " << p.evals << "}"
-        << (i + 1 < points.size() ? "," : "") << "\n";
-    std::printf("  kernel=%-7s dedup=%-5s  %.4fs  %llu score evals\n",
-                p.kernel, p.dedup ? "on" : "off", p.seconds,
-                static_cast<unsigned long long>(p.evals));
-  }
-  out << "    ]\n  }";
-  if (!bit_identical) {
-    std::fprintf(stderr, "ERROR: ranks differ between dedup on and off\n");
-    return 1;
-  }
-  return 0;
-}
-
 // --- Exporter overhead -----------------------------------------------------
 
 struct SweepWindow {
@@ -731,8 +628,6 @@ int RunPostSuiteSections(bool topk_only) {
     rc = RunThreadScaling(out);
     out << ",\n";
     RunKernelPaths(out);
-    out << ",\n";
-    rc |= RunQueryDedup(out);
     out << ",\n";
     RunExporterOverhead(out);
     out << ",\n";

@@ -13,6 +13,8 @@
 #     cumulative counters must be bit-identical across KGC_THREADS
 #   - the 9-model Table 5 path must write the same .ranks bytes at any
 #     KGC_THREADS
+#   - no library function may be called only by tests, unless
+#     ci/test_only_symbols.sh allowlists it with a reason
 #
 # Usage: ci/obs_smoke.sh [build-dir]      (default: build)
 set -euo pipefail
@@ -29,6 +31,10 @@ for target in "${BENCH}" "${TABLE5}"; do
     cmake --build "${BUILD_DIR}" -j "$(nproc)" --target "$(basename "${target}")"
   fi
 done
+
+echo "== library functions that only tests call =="
+cmake --build "${BUILD_DIR}" -j "$(nproc)" > /dev/null
+ci/test_only_symbols.sh "${BUILD_DIR}"
 
 WORK_DIR="$(mktemp -d)"
 trap 'rm -rf "${WORK_DIR}"' EXIT

@@ -140,10 +140,8 @@ std::vector<std::vector<TripleRanks>> RankTriples(
             const size_t idx = order[i];
             const Triple& triple = test[idx];
             // The first triple of a group fills the score buffer; later
-            // ones reuse it (a cache hit) unless dedup is off, in which
-            // case every triple re-sweeps — producing the same bits either
-            // way.
-            if (!options.dedup_queries || i == first) {
+            // ones reuse it (a cache hit).
+            if (i == first) {
               if (tails) {
                 predictor.ScoreTails(triple.head, triple.relation, scores);
               } else {

@@ -29,12 +29,6 @@ struct RankerOptions {
   /// Worker threads for the ranking sweep (0 = KGC_THREADS / hardware
   /// default; see util/parallel.h). Results are bit-identical for any value.
   int threads = 0;
-  /// Score each unique (head, relation) / (relation, tail) query once and
-  /// reuse the score buffer for every test triple that shares it. Ranks are
-  /// bit-identical with dedup on or off — the reused buffer is the same one
-  /// a fresh sweep would produce — so this only trades memory locality for
-  /// skipped sweeps on duplicate-heavy test sets.
-  bool dedup_queries = true;
 };
 
 /// Ranks every triple of `test` under each of `predictors` in one sweep and
@@ -45,9 +39,11 @@ struct RankerOptions {
 /// projections. Work is statically sharded across threads at query-group
 /// granularity — a group is never split — and every shard ranks its groups
 /// under every predictor, so shards stay balanced however much the
-/// predictors' costs differ. Ranks *and* all telemetry counters
+/// predictors' costs differ. Each unique (head, relation) /
+/// (relation, tail) query is scored once, and every test triple that shares
+/// it reuses that score buffer. Ranks *and* all telemetry counters
 /// (score_evals, query_cache_hits/misses) are bit-identical for any thread
-/// count, for dedup on vs off, and to one single-predictor call each.
+/// count and to one single-predictor call each.
 /// A known fact the filter store holds twice is filtered out twice.
 std::vector<std::vector<TripleRanks>> RankTriples(
     std::span<const LinkPredictor* const> predictors, const Dataset& dataset,

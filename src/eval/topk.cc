@@ -118,8 +118,6 @@ void SweepBlock(const vec::KernelOps& ops, SweepKind kind, const float* qs,
       ops.cabs_rows_block(qs, q_stride, num_q, rows, num_rows, stride, dim,
                           out, out_stride);
       break;
-    case SweepKind::kNone:
-      break;
   }
 }
 
@@ -129,11 +127,11 @@ inline uint64_t FilterKey(bool tails, RelationId r, EntityId anchor,
                : PackTriple(candidate, r, anchor);
 }
 
-// Full Score* sweep with heap selection: the oracle, the cross-check
-// reference, and the fallback for models without a kernel sweep.
+// Full Score* sweep with heap selection: the oracle and the cross-check
+// reference.
 TopKResult FullSweepTopK(const LinkPredictor& predictor,
                          const TopKQuery& query, int k,
-                         const TripleStore* filter, Tally* tally) {
+                         const TripleStore* filter) {
   const size_t n = static_cast<size_t>(predictor.num_entities());
   const size_t kk = static_cast<size_t>(k);
   std::vector<float> scores(n);
@@ -142,11 +140,10 @@ TopKResult FullSweepTopK(const LinkPredictor& predictor,
   } else {
     predictor.ScoreHeads(query.relation, query.anchor, scores);
   }
-  uint64_t pushes = 0;
   TopKResult result;
   BoundedHeap raw(kk);
   for (size_t e = 0; e < n; ++e) {
-    if (raw.Push(scores[e], static_cast<EntityId>(e))) ++pushes;
+    raw.Push(scores[e], static_cast<EntityId>(e));
   }
   if (filter != nullptr) {
     BoundedHeap filt(kk);
@@ -159,8 +156,7 @@ TopKResult FullSweepTopK(const LinkPredictor& predictor,
       found.resize(keys.size());
       filter->ContainsBatch(keys, found.data());
       for (size_t j = 0; j < keys.size(); ++j) {
-        if (found[j]) continue;
-        if (filt.Push(cands[j].second, cands[j].first)) ++pushes;
+        if (!found[j]) filt.Push(cands[j].second, cands[j].first);
       }
       keys.clear();
       cands.clear();
@@ -177,10 +173,6 @@ TopKResult FullSweepTopK(const LinkPredictor& predictor,
   }
   result.raw = std::move(raw).Sorted();
   if (filter == nullptr) result.filtered = result.raw;
-  if (tally != nullptr) {
-    tally->entities_scored += n;
-    tally->heap_pushes += pushes;
-  }
   return result;
 }
 
@@ -198,8 +190,7 @@ void CheckEntriesEqual(const std::vector<TopKEntry>& fast,
 void CheckAgainstOracle(const LinkPredictor& predictor,
                         const TopKQuery& query, int k,
                         const TripleStore* filter, const TopKResult& fast) {
-  const TopKResult oracle =
-      FullSweepTopK(predictor, query, k, filter, nullptr);
+  const TopKResult oracle = FullSweepTopK(predictor, query, k, filter);
   CheckEntriesEqual(fast.raw, oracle.raw);
   CheckEntriesEqual(fast.filtered, oracle.filtered);
 }
@@ -208,10 +199,10 @@ void CheckAgainstOracle(const LinkPredictor& predictor,
 // buffers live here and are reused across the shard's groups.
 class GroupRunner {
  public:
-  GroupRunner(const LinkPredictor& predictor, const TopKOptions& options,
+  GroupRunner(const KgeModel& model, const TopKOptions& options,
               std::span<const TopKQuery> queries, const TripleStore* filter,
               std::vector<TopKResult>* results, Tally* tally)
-      : predictor_(predictor),
+      : model_(model),
         options_(options),
         queries_(queries),
         filter_(filter),
@@ -225,18 +216,12 @@ class GroupRunner {
     tails_ = first.tails;
     relation_ = first.relation;
     SweepSpec spec;
-    if (!predictor_.DescribeSweep(tails_, relation_, &spec) ||
-        spec.kind == SweepKind::kNone) {
-      for (size_t i = 0; i < count; ++i) {
-        (*results_)[order[i]] = FullSweepTopK(predictor_, queries_[order[i]],
-                                              options_.k, filter_, tally_);
-      }
-      return;
-    }
+    model_.DescribeSweep(tails_, relation_, &spec);
     const size_t qlen = spec.query_len;
     const size_t kk = static_cast<size_t>(options_.k);
-    // coef/v may alias model scratch the BuildSweepQuery calls below
-    // clobber — copy them up front. rows/bias alias table storage that
+    // coef/v may alias model scratch that lives only until the model's
+    // next DescribeSweep/Score* call on this thread (the cross-check below
+    // makes one) — copy them up front. rows/bias alias table storage that
     // stays put for the whole group (for TransR, a thread-local buffer this
     // thread keeps pointed at this relation).
     coef_.clear();
@@ -248,7 +233,7 @@ class GroupRunner {
 
     qbuf_.resize(count * qlen);
     for (size_t i = 0; i < count; ++i) {
-      predictor_.BuildSweepQuery(
+      model_.BuildSweepQuery(
           tails_, relation_, queries_[order[i]].anchor,
           std::span<float>(qbuf_.data() + i * qlen, qlen));
     }
@@ -266,7 +251,7 @@ class GroupRunner {
     }
     if (options_.cross_check) {
       for (size_t i = 0; i < count; ++i) {
-        CheckAgainstOracle(predictor_, queries_[order[i]], options_.k,
+        CheckAgainstOracle(model_, queries_[order[i]], options_.k,
                            filter_, (*results_)[order[i]]);
       }
     }
@@ -346,7 +331,7 @@ class GroupRunner {
     }
   }
 
-  const LinkPredictor& predictor_;
+  const KgeModel& model_;
   const TopKOptions& options_;
   std::span<const TopKQuery> queries_;
   const TripleStore* filter_;
@@ -369,9 +354,8 @@ class GroupRunner {
 
 }  // namespace
 
-TopKEngine::TopKEngine(const LinkPredictor& predictor,
-                       const TopKOptions& options)
-    : predictor_(predictor), options_(options) {
+TopKEngine::TopKEngine(const KgeModel& model, const TopKOptions& options)
+    : model_(model), options_(options) {
   KGC_CHECK_GT(options_.k, 0);
   KGC_CHECK_GT(options_.query_block, 0);
   KGC_CHECK_GT(options_.tile_rows, 0);
@@ -411,7 +395,7 @@ std::vector<TopKResult> TopKEngine::Run(std::span<const TopKQuery> queries,
   std::vector<Tally> tallies(static_cast<size_t>(std::max(planned, 1)));
   ParallelFor(groups.size(), options_.threads,
               [&](size_t gbegin, size_t gend, int shard) {
-                GroupRunner runner(predictor_, options_, queries, filter,
+                GroupRunner runner(model_, options_, queries, filter,
                                    &results,
                                    &tallies[static_cast<size_t>(shard)]);
                 for (size_t g = gbegin; g < gend; ++g) {
@@ -442,7 +426,7 @@ TopKResult TopKEngine::OracleTopK(const LinkPredictor& predictor,
                                   const TopKQuery& query, int k,
                                   const TripleStore* filter) {
   KGC_CHECK_GT(k, 0);
-  return FullSweepTopK(predictor, query, k, filter, nullptr);
+  return FullSweepTopK(predictor, query, k, filter);
 }
 
 }  // namespace kgc

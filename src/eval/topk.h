@@ -16,12 +16,14 @@
 // Every entity of the table is scored; DESIGN.md says why there is no
 // pruning.
 //
-// Every per-(query, row) score is produced by the same fixed-order kernel
+// The engine serves embedding models only: it reads the sweep contract
+// (KgeModel::DescribeSweep / BuildSweepQuery, models/model.h) that
+// ScoreTails/ScoreHeads run through, and has no other path. Every
+// per-(query, row) score is produced by the same fixed-order kernel
 // reduction as ScoreTails/ScoreHeads, so the fast path's top-K lists equal
 // the truncated full ranking bit for bit; TopKOptions::cross_check asserts
-// exactly that against the oracle inside Run. Models without a kernel
-// sweep (DescribeSweep == false, e.g. rule predictors) fall back to the
-// full Score* sweep with heap selection — correct, just not fast.
+// exactly that against the oracle inside Run. The oracle takes any
+// LinkPredictor.
 
 #ifndef KGC_EVAL_TOPK_H_
 #define KGC_EVAL_TOPK_H_
@@ -31,6 +33,7 @@
 
 #include "kg/link_predictor.h"
 #include "kg/triple_store.h"
+#include "models/model.h"
 
 namespace kgc {
 
@@ -72,7 +75,7 @@ struct TopKResult {
 
 class TopKEngine {
  public:
-  TopKEngine(const LinkPredictor& predictor, const TopKOptions& options);
+  TopKEngine(const KgeModel& model, const TopKOptions& options);
 
   /// Retrieves top-K for every query. `filter` may be null (filtered lists
   /// then mirror the raw lists). Queries are grouped by (direction,
@@ -89,7 +92,7 @@ class TopKEngine {
                                const TripleStore* filter);
 
  private:
-  const LinkPredictor& predictor_;
+  const KgeModel& model_;
   TopKOptions options_;
 };
 

@@ -37,13 +37,6 @@ const TripleStore& Dataset::all_store() const {
   return *all_store_;
 }
 
-void Dataset::InvalidateCaches() {
-  std::lock_guard<std::mutex> lock(store_mutex_);
-  train_store_.reset();
-  test_store_.reset();
-  all_store_.reset();
-}
-
 int32_t Dataset::CountUsedEntities() const {
   std::unordered_set<EntityId> used;
   for (const TripleList* split : {&train_, &valid_, &test_}) {

@@ -14,7 +14,9 @@
 namespace kgc {
 
 /// A link-prediction benchmark dataset. Splits are plain triple lists;
-/// indexed views are built (and cached) on demand.
+/// indexed views are built (and cached) on demand. A dataset is immutable
+/// once constructed, so a cached view can never go stale; to change a
+/// split, build a new Dataset.
 class Dataset {
  public:
   Dataset() = default;
@@ -53,10 +55,8 @@ class Dataset {
   }
 
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   const Vocab& vocab() const { return vocab_; }
-  Vocab& mutable_vocab() { return vocab_; }
 
   int32_t num_entities() const { return vocab_.num_entities(); }
   int32_t num_relations() const { return vocab_.num_relations(); }
@@ -64,10 +64,6 @@ class Dataset {
   const TripleList& train() const { return train_; }
   const TripleList& valid() const { return valid_; }
   const TripleList& test() const { return test_; }
-
-  TripleList& mutable_train() { return train_; }
-  TripleList& mutable_valid() { return valid_; }
-  TripleList& mutable_test() { return test_; }
 
   /// Indexed view of the training split (built on first use).
   const TripleStore& train_store() const;
@@ -78,9 +74,6 @@ class Dataset {
   /// Indexed view over train+valid+test, used as the "known triples" filter
   /// in filtered metrics (built on first use).
   const TripleStore& all_store() const;
-
-  /// Drops cached stores (call after mutating splits).
-  void InvalidateCaches();
 
   /// Count of entities/relations actually used (some cleaned datasets no
   /// longer touch every id).

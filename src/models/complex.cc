@@ -62,27 +62,7 @@ void ComplEx::ApplyGradient(const Triple& triple, float d_loss_d_score,
   entities_.UpdateRow(triple.tail, gt, lr);
 }
 
-void ComplEx::ScoreTails(EntityId h, RelationId r, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t d = static_cast<size_t>(params_.dim);
-  auto q = vec::GetScratch(2 * d, 0);
-  BuildSweepQuery(/*tails=*/true, r, h, q);
-  vec::Ops().dot_rows(q.data(), entities_.raw(),
-                      static_cast<size_t>(num_entities_), 2 * d, 2 * d,
-                      out.data());
-}
-
-void ComplEx::ScoreHeads(RelationId r, EntityId t, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t d = static_cast<size_t>(params_.dim);
-  auto q = vec::GetScratch(2 * d, 0);
-  BuildSweepQuery(/*tails=*/false, r, t, q);
-  vec::Ops().dot_rows(q.data(), entities_.raw(),
-                      static_cast<size_t>(num_entities_), 2 * d, 2 * d,
-                      out.data());
-}
-
-bool ComplEx::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
+void ComplEx::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   (void)tails;
   (void)r;
   spec->kind = SweepKind::kDot;
@@ -91,7 +71,6 @@ bool ComplEx::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->stride = 2 * static_cast<size_t>(params_.dim);
   spec->dim = spec->stride;
   spec->query_len = spec->stride;
-  return true;
 }
 
 void ComplEx::BuildSweepQuery(bool tails, RelationId r, EntityId anchor,

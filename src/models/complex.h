@@ -21,9 +21,7 @@ class ComplEx final : public KgeModel {
   double Score(EntityId h, RelationId r, EntityId t) const override;
   void ApplyGradient(const Triple& triple, float d_loss_d_score,
                      float lr) override;
-  void ScoreTails(EntityId h, RelationId r, std::span<float> out) const override;
-  void ScoreHeads(RelationId r, EntityId t, std::span<float> out) const override;
-  bool DescribeSweep(bool tails, RelationId r,
+  void DescribeSweep(bool tails, RelationId r,
                      SweepSpec* spec) const override;
   void BuildSweepQuery(bool tails, RelationId r, EntityId anchor,
                        std::span<float> q) const override;

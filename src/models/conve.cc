@@ -173,28 +173,7 @@ void ConvE::ApplyGradient(const Triple& triple, float d_loss_d_score,
        d_loss_d_score, lr);
 }
 
-void ConvE::ScoreTails(EntityId h, RelationId r, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t dim = static_cast<size_t>(params_.dim);
-  const size_t n = static_cast<size_t>(num_entities_);
-  auto q = vec::GetScratch(dim, 0);
-  BuildSweepQuery(/*tails=*/true, r, h, q);
-  vec::Ops().dot_rows(q.data(), entities_.raw(), n, dim, dim, out.data());
-  // entity_bias_ is an (num_entities x 1) table, i.e. one contiguous array.
-  vec::Axpy(1.0f, entity_bias_.raw(), out.data(), n);
-}
-
-void ConvE::ScoreHeads(RelationId r, EntityId t, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t dim = static_cast<size_t>(params_.dim);
-  const size_t n = static_cast<size_t>(num_entities_);
-  auto q = vec::GetScratch(dim, 0);
-  BuildSweepQuery(/*tails=*/false, r, t, q);
-  vec::Ops().dot_rows(q.data(), entities_.raw(), n, dim, dim, out.data());
-  vec::Axpy(1.0f, entity_bias_.raw(), out.data(), n);
-}
-
-bool ConvE::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
+void ConvE::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   (void)tails;
   (void)r;
   spec->kind = SweepKind::kDot;
@@ -203,8 +182,8 @@ bool ConvE::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->stride = static_cast<size_t>(params_.dim);
   spec->dim = spec->stride;
   spec->query_len = spec->stride;
+  // entity_bias_ is an (num_entities x 1) table, i.e. one contiguous array.
   spec->bias = entity_bias_.raw();
-  return true;
 }
 
 void ConvE::BuildSweepQuery(bool tails, RelationId r, EntityId anchor,

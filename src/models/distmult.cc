@@ -55,29 +55,7 @@ void DistMult::ApplyGradient(const Triple& triple, float d_loss_d_score,
   entities_.UpdateRow(triple.tail, gt, lr);
 }
 
-void DistMult::ScoreTails(EntityId h, RelationId r,
-                          std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t dim = static_cast<size_t>(params_.dim);
-  auto q = vec::GetScratch(dim, 0);
-  BuildSweepQuery(/*tails=*/true, r, h, q);
-  vec::Ops().dot_rows(q.data(), entities_.raw(),
-                      static_cast<size_t>(num_entities_), dim, dim,
-                      out.data());
-}
-
-void DistMult::ScoreHeads(RelationId r, EntityId t,
-                          std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t dim = static_cast<size_t>(params_.dim);
-  auto q = vec::GetScratch(dim, 0);
-  BuildSweepQuery(/*tails=*/false, r, t, q);
-  vec::Ops().dot_rows(q.data(), entities_.raw(),
-                      static_cast<size_t>(num_entities_), dim, dim,
-                      out.data());
-}
-
-bool DistMult::DescribeSweep(bool tails, RelationId r,
+void DistMult::DescribeSweep(bool tails, RelationId r,
                              SweepSpec* spec) const {
   (void)tails;
   (void)r;
@@ -87,7 +65,6 @@ bool DistMult::DescribeSweep(bool tails, RelationId r,
   spec->stride = static_cast<size_t>(params_.dim);
   spec->dim = spec->stride;
   spec->query_len = spec->stride;
-  return true;
 }
 
 void DistMult::BuildSweepQuery(bool tails, RelationId r, EntityId anchor,

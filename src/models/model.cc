@@ -12,6 +12,8 @@
 #include "models/transh.h"
 #include "models/transr.h"
 #include "models/tucker.h"
+#include "util/check.h"
+#include "util/vecmath.h"
 
 namespace kgc {
 
@@ -56,18 +58,48 @@ StatusOr<ModelType> ParseModelType(const std::string& name) {
 
 void KgeModel::ScoreTails(EntityId h, RelationId r,
                           std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  for (EntityId e = 0; e < num_entities_; ++e) {
-    out[static_cast<size_t>(e)] = static_cast<float>(Score(h, r, e));
-  }
+  Sweep(/*tails=*/true, r, h, out);
 }
 
 void KgeModel::ScoreHeads(RelationId r, EntityId t,
                           std::span<float> out) const {
+  Sweep(/*tails=*/false, r, t, out);
+}
+
+void KgeModel::Sweep(bool tails, RelationId r, EntityId anchor,
+                     std::span<float> out) const {
   KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  for (EntityId e = 0; e < num_entities_; ++e) {
-    out[static_cast<size_t>(e)] = static_cast<float>(Score(e, r, t));
+  SweepSpec spec;
+  DescribeSweep(tails, r, &spec);  // may fill coef in scratch slot 1
+  auto q = vec::GetScratch(spec.query_len, 0);
+  BuildSweepQuery(tails, r, anchor, q);
+  const auto& ops = vec::Ops();
+  const size_t n = spec.num_rows;
+  switch (spec.kind) {
+    case SweepKind::kDot:
+      ops.dot_rows(q.data(), spec.rows, n, spec.stride, spec.dim, out.data());
+      break;
+    case SweepKind::kL1:
+      ops.l1_rows(q.data(), spec.rows, n, spec.stride, spec.dim, out.data());
+      break;
+    case SweepKind::kL2:
+      ops.l2_rows(q.data(), spec.rows, n, spec.stride, spec.dim, out.data());
+      break;
+    case SweepKind::kL1Offset:
+      ops.l1_offset_rows(q.data(), spec.v, spec.coef, spec.coef_scale,
+                         spec.rows, n, spec.stride, spec.dim, out.data());
+      break;
+    case SweepKind::kL2Offset:
+      ops.l2_offset_rows(q.data(), spec.v, spec.coef, spec.coef_scale,
+                         spec.rows, n, spec.stride, spec.dim, out.data());
+      break;
+    case SweepKind::kCabs:
+      ops.cabs_rows(q.data(), spec.rows, n, spec.stride, spec.dim,
+                    out.data());
+      break;
   }
+  if (spec.bias != nullptr) vec::Axpy(1.0f, spec.bias, out.data(), n);
+  if (spec.negate) vec::Negate(out);
 }
 
 std::unique_ptr<KgeModel> CreateModel(ModelType type, int32_t num_entities,

@@ -3,12 +3,17 @@
 // A model scores triples (higher = more plausible) and knows how to apply an
 // SGD step given the upstream loss gradient dLoss/dScore computed by the
 // Trainer. Batch scorers over all candidate heads / tails are the
-// performance-critical path of link-prediction evaluation; every model
-// overrides them with a vectorised implementation.
+// performance-critical path of link-prediction evaluation. Models do not
+// write them: each describes its sweep (DescribeSweep) and builds its
+// per-anchor query (BuildSweepQuery), and KgeModel runs the one recipe —
+// one single-query vecmath kernel per call — for every model. The top-K
+// engine (eval/topk.h) runs the same description through the blocked
+// kernels, so every model is scored and ranked by the same code.
 
 #ifndef KGC_MODELS_MODEL_H_
 #define KGC_MODELS_MODEL_H_
 
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
@@ -68,6 +73,36 @@ struct ModelHyperParams {
   bool adagrad = false;
 };
 
+/// The per-(query, row) kernel shape a model's sweep reduces to.
+enum class SweepKind {
+  kDot,        // score = dot(q, row)
+  kL1,         // score = -sum_j |q_j - row_j|
+  kL2,         // score = -||q - row||_2
+  kL1Offset,   // score = -sum_j |q_j + coef_scale*coef_i*v_j - row_j|
+  kL2Offset,   // L2 variant of kL1Offset
+  kCabs,       // score = -complex-modulus distance (RotatE layout)
+};
+
+/// A model's description of one (direction, relation) sweep: how to score a
+/// query vector against every candidate row with vecmath kernels. Pointers
+/// alias model-owned (possibly thread-local) storage; they stay valid on the
+/// calling thread until the model's next DescribeSweep/Score* call, so the
+/// caller must copy what it needs to keep (the engine copies `coef` and `v`
+/// immediately and reads `rows` only while it sweeps that group).
+struct SweepSpec {
+  SweepKind kind = SweepKind::kDot;
+  const float* rows = nullptr;  // candidate table, row e = entity e
+  size_t num_rows = 0;
+  size_t stride = 0;            // floats between consecutive rows
+  size_t dim = 0;               // floats reduced per row (half_dim for kCabs)
+  size_t query_len = 0;         // floats BuildSweepQuery writes
+  const float* v = nullptr;     // offset direction (offset kinds only)
+  const float* coef = nullptr;  // per-row offset coefficients (offset kinds)
+  float coef_scale = 0.0f;      // sign/scale applied to coef
+  const float* bias = nullptr;  // per-row additive bias, or null
+  bool negate = false;          // true: score = -kernel(q, row) (distances)
+};
+
 /// Abstract embedding model.
 class KgeModel : public LinkPredictor {
  public:
@@ -99,11 +134,25 @@ class KgeModel : public LinkPredictor {
   /// Scores (h, r, e) for every entity e into out[e].
   /// out.size() must be num_entities().
   void ScoreTails(EntityId h, RelationId r,
-                  std::span<float> out) const override;
+                  std::span<float> out) const final;
 
   /// Scores (e, r, t) for every entity e into out[e].
   void ScoreHeads(RelationId r, EntityId t,
-                  std::span<float> out) const override;
+                  std::span<float> out) const final;
+
+  /// Describes the kernel sweep behind ScoreTails (tails=true) or ScoreHeads
+  /// (tails=false) for relation r. It may fill `coef` in vec::GetScratch
+  /// slot 1; nothing else it points `spec` at lives in scratch.
+  virtual void DescribeSweep(bool tails, RelationId r,
+                             SweepSpec* spec) const = 0;
+
+  /// Builds the query vector for one anchor entity of the sweep described
+  /// by DescribeSweep(tails, r, ...); `q` holds spec->query_len floats and
+  /// is vec::GetScratch slot 0. On the same thread it must leave intact
+  /// whatever DescribeSweep pointed `spec` at: it may use scratch slots 1
+  /// and up only when DescribeSweep filled no `coef`.
+  virtual void BuildSweepQuery(bool tails, RelationId r, EntityId anchor,
+                               std::span<float> q) const = 0;
 
   /// Hook called by the trainer when an epoch begins (entity normalization
   /// for translational models happens here).
@@ -118,6 +167,13 @@ class KgeModel : public LinkPredictor {
   int32_t num_entities_;
   int32_t num_relations_;
   ModelHyperParams params_;
+
+ private:
+  // The batch-scoring recipe behind ScoreTails/ScoreHeads: DescribeSweep,
+  // the query in scratch slot 0, BuildSweepQuery, one single-query kernel,
+  // then the bias and the sign the description asks for.
+  void Sweep(bool tails, RelationId r, EntityId anchor,
+             std::span<float> out) const;
 };
 
 /// Creates a freshly initialized model of the given type.

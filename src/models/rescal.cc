@@ -75,27 +75,7 @@ void Rescal::ApplyGradient(const Triple& triple, float d_loss_d_score,
   matrices_.UpdateRow(triple.relation, gw, lr);
 }
 
-void Rescal::ScoreTails(EntityId h, RelationId r, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t dim = static_cast<size_t>(params_.dim);
-  auto q = vec::GetScratch(dim, 0);
-  BuildSweepQuery(/*tails=*/true, r, h, q);
-  vec::Ops().dot_rows(q.data(), entities_.raw(),
-                      static_cast<size_t>(num_entities_), dim, dim,
-                      out.data());
-}
-
-void Rescal::ScoreHeads(RelationId r, EntityId t, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t dim = static_cast<size_t>(params_.dim);
-  auto q = vec::GetScratch(dim, 0);
-  BuildSweepQuery(/*tails=*/false, r, t, q);
-  vec::Ops().dot_rows(q.data(), entities_.raw(),
-                      static_cast<size_t>(num_entities_), dim, dim,
-                      out.data());
-}
-
-bool Rescal::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
+void Rescal::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   (void)tails;
   (void)r;
   spec->kind = SweepKind::kDot;
@@ -104,7 +84,6 @@ bool Rescal::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->stride = static_cast<size_t>(params_.dim);
   spec->dim = spec->stride;
   spec->query_len = spec->stride;
-  return true;
 }
 
 void Rescal::BuildSweepQuery(bool tails, RelationId r, EntityId anchor,

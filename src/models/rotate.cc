@@ -77,29 +77,7 @@ void RotatE::ApplyGradient(const Triple& triple, float d_loss_d_score,
   phases_.UpdateRow(triple.relation, gtheta, lr);
 }
 
-void RotatE::ScoreTails(EntityId h, RelationId r, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t d = static_cast<size_t>(params_.dim);
-  auto q = vec::GetScratch(2 * d, 0);
-  BuildSweepQuery(/*tails=*/true, r, h, q);
-  vec::Ops().cabs_rows(q.data(), entities_.raw(),
-                       static_cast<size_t>(num_entities_), 2 * d, d,
-                       out.data());
-  vec::Negate(out);
-}
-
-void RotatE::ScoreHeads(RelationId r, EntityId t, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t d = static_cast<size_t>(params_.dim);
-  auto q = vec::GetScratch(2 * d, 0);
-  BuildSweepQuery(/*tails=*/false, r, t, q);
-  vec::Ops().cabs_rows(q.data(), entities_.raw(),
-                       static_cast<size_t>(num_entities_), 2 * d, d,
-                       out.data());
-  vec::Negate(out);
-}
-
-bool RotatE::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
+void RotatE::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   (void)tails;
   (void)r;
   const size_t d = static_cast<size_t>(params_.dim);
@@ -110,7 +88,6 @@ bool RotatE::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->dim = d;  // half_dim for the cabs kernel
   spec->query_len = 2 * d;
   spec->negate = true;
-  return true;
 }
 
 void RotatE::BuildSweepQuery(bool tails, RelationId r, EntityId anchor,

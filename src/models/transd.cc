@@ -118,37 +118,7 @@ void TransD::ApplyGradient(const Triple& triple, float d_loss_d_score,
   entities_.NormalizeRowL2(triple.tail);
 }
 
-void TransD::ScoreTails(EntityId h, RelationId r, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  SweepSpec spec;
-  DescribeSweep(/*tails=*/true, r, &spec);  // fills coef in scratch slot 1
-  const size_t dim = static_cast<size_t>(params_.dim);
-  auto q = vec::GetScratch(dim, 0);
-  BuildSweepQuery(/*tails=*/true, r, h, q);
-  const auto& ops = vec::Ops();
-  const auto sweep =
-      params_.l1_distance ? ops.l1_offset_rows : ops.l2_offset_rows;
-  sweep(q.data(), spec.v, spec.coef, spec.coef_scale, spec.rows,
-        spec.num_rows, spec.stride, spec.dim, out.data());
-  vec::Negate(out);
-}
-
-void TransD::ScoreHeads(RelationId r, EntityId t, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  SweepSpec spec;
-  DescribeSweep(/*tails=*/false, r, &spec);
-  const size_t dim = static_cast<size_t>(params_.dim);
-  auto q = vec::GetScratch(dim, 0);
-  BuildSweepQuery(/*tails=*/false, r, t, q);
-  const auto& ops = vec::Ops();
-  const auto sweep =
-      params_.l1_distance ? ops.l1_offset_rows : ops.l2_offset_rows;
-  sweep(q.data(), spec.v, spec.coef, spec.coef_scale, spec.rows,
-        spec.num_rows, spec.stride, spec.dim, out.data());
-  vec::Negate(out);
-}
-
-bool TransD::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
+void TransD::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   (void)tails;
   const size_t dim = static_cast<size_t>(params_.dim);
   const size_t n = static_cast<size_t>(num_entities_);
@@ -165,7 +135,6 @@ bool TransD::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->coef = coef.data();
   spec->coef_scale = -1.0f;
   spec->negate = true;
-  return true;
 }
 
 void TransD::BuildSweepQuery(bool tails, RelationId r, EntityId anchor,

@@ -71,31 +71,7 @@ void TransE::ApplyGradient(const Triple& triple, float d_loss_d_score,
   entities_.NormalizeRowL2(triple.tail);
 }
 
-void TransE::ScoreTails(EntityId h, RelationId r, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t dim = static_cast<size_t>(params_.dim);
-  auto q = vec::GetScratch(dim, 0);
-  BuildSweepQuery(/*tails=*/true, r, h, q);
-  const auto& ops = vec::Ops();
-  const auto sweep = params_.l1_distance ? ops.l1_rows : ops.l2_rows;
-  sweep(q.data(), entities_.raw(), static_cast<size_t>(num_entities_), dim,
-        dim, out.data());
-  vec::Negate(out);
-}
-
-void TransE::ScoreHeads(RelationId r, EntityId t, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t dim = static_cast<size_t>(params_.dim);
-  auto q = vec::GetScratch(dim, 0);
-  BuildSweepQuery(/*tails=*/false, r, t, q);
-  const auto& ops = vec::Ops();
-  const auto sweep = params_.l1_distance ? ops.l1_rows : ops.l2_rows;
-  sweep(q.data(), entities_.raw(), static_cast<size_t>(num_entities_), dim,
-        dim, out.data());
-  vec::Negate(out);
-}
-
-bool TransE::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
+void TransE::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   (void)tails;
   (void)r;
   spec->kind = params_.l1_distance ? SweepKind::kL1 : SweepKind::kL2;
@@ -105,7 +81,6 @@ bool TransE::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->dim = spec->stride;
   spec->query_len = spec->stride;
   spec->negate = true;
-  return true;
 }
 
 void TransE::BuildSweepQuery(bool tails, RelationId r, EntityId anchor,

@@ -109,37 +109,7 @@ void TransH::ApplyGradient(const Triple& triple, float d_loss_d_score,
   normals_.NormalizeRowL2(triple.relation);
 }
 
-void TransH::ScoreTails(EntityId h, RelationId r, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  SweepSpec spec;
-  DescribeSweep(/*tails=*/true, r, &spec);  // fills coef in scratch slot 1
-  const size_t dim = static_cast<size_t>(params_.dim);
-  auto q = vec::GetScratch(dim, 0);
-  BuildSweepQuery(/*tails=*/true, r, h, q);
-  const auto& ops = vec::Ops();
-  const auto sweep =
-      params_.l1_distance ? ops.l1_offset_rows : ops.l2_offset_rows;
-  sweep(q.data(), spec.v, spec.coef, spec.coef_scale, spec.rows,
-        spec.num_rows, spec.stride, spec.dim, out.data());
-  vec::Negate(out);
-}
-
-void TransH::ScoreHeads(RelationId r, EntityId t, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  SweepSpec spec;
-  DescribeSweep(/*tails=*/false, r, &spec);
-  const size_t dim = static_cast<size_t>(params_.dim);
-  auto q = vec::GetScratch(dim, 0);
-  BuildSweepQuery(/*tails=*/false, r, t, q);
-  const auto& ops = vec::Ops();
-  const auto sweep =
-      params_.l1_distance ? ops.l1_offset_rows : ops.l2_offset_rows;
-  sweep(q.data(), spec.v, spec.coef, spec.coef_scale, spec.rows,
-        spec.num_rows, spec.stride, spec.dim, out.data());
-  vec::Negate(out);
-}
-
-bool TransH::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
+void TransH::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   (void)tails;
   const auto wv = normals_.Row(r);
   const size_t dim = static_cast<size_t>(params_.dim);
@@ -156,7 +126,6 @@ bool TransH::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->coef = coef.data();
   spec->coef_scale = 1.0f;
   spec->negate = true;
-  return true;
 }
 
 void TransH::BuildSweepQuery(bool tails, RelationId r, EntityId anchor,

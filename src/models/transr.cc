@@ -147,33 +147,7 @@ const std::vector<float>& TransR::ProjectedEntities(RelationId r) const {
   return cache.projected;
 }
 
-void TransR::ScoreTails(EntityId h, RelationId r, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t dim = static_cast<size_t>(params_.dim);
-  const std::vector<float>& projected = ProjectedEntities(r);
-  auto q = vec::GetScratch(dim, 0);
-  BuildSweepQuery(/*tails=*/true, r, h, q);
-  const auto& ops = vec::Ops();
-  const auto sweep = params_.l1_distance ? ops.l1_rows : ops.l2_rows;
-  sweep(q.data(), projected.data(), static_cast<size_t>(num_entities_), dim,
-        dim, out.data());
-  vec::Negate(out);
-}
-
-void TransR::ScoreHeads(RelationId r, EntityId t, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t dim = static_cast<size_t>(params_.dim);
-  const std::vector<float>& projected = ProjectedEntities(r);
-  auto q = vec::GetScratch(dim, 0);
-  BuildSweepQuery(/*tails=*/false, r, t, q);
-  const auto& ops = vec::Ops();
-  const auto sweep = params_.l1_distance ? ops.l1_rows : ops.l2_rows;
-  sweep(q.data(), projected.data(), static_cast<size_t>(num_entities_), dim,
-        dim, out.data());
-  vec::Negate(out);
-}
-
-bool TransR::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
+void TransR::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   (void)tails;
   const std::vector<float>& projected = ProjectedEntities(r);
   const size_t dim = static_cast<size_t>(params_.dim);
@@ -184,7 +158,6 @@ bool TransR::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->dim = dim;
   spec->query_len = dim;
   spec->negate = true;
-  return true;
 }
 
 void TransR::BuildSweepQuery(bool tails, RelationId r, EntityId anchor,

@@ -108,25 +108,7 @@ void TuckER::ApplyGradient(const Triple& triple, float d_loss_d_score,
   relations_.UpdateDense(triple.relation, {&g, 1}, q, decay, lr);
 }
 
-void TuckER::ScoreTails(EntityId h, RelationId r, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t de = static_cast<size_t>(dim_e_);
-  auto u = vec::GetScratch(de, 0);
-  BuildSweepQuery(/*tails=*/true, r, h, u);
-  vec::Ops().dot_rows(u.data(), entities_.raw(),
-                      static_cast<size_t>(num_entities_), de, de, out.data());
-}
-
-void TuckER::ScoreHeads(RelationId r, EntityId t, std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  const size_t de = static_cast<size_t>(dim_e_);
-  auto v = vec::GetScratch(de, 0);
-  BuildSweepQuery(/*tails=*/false, r, t, v);
-  vec::Ops().dot_rows(v.data(), entities_.raw(),
-                      static_cast<size_t>(num_entities_), de, de, out.data());
-}
-
-bool TuckER::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
+void TuckER::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   (void)tails;
   (void)r;
   spec->kind = SweepKind::kDot;
@@ -135,7 +117,6 @@ bool TuckER::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {
   spec->stride = static_cast<size_t>(dim_e_);
   spec->dim = spec->stride;
   spec->query_len = spec->stride;
-  return true;
 }
 
 void TuckER::BuildSweepQuery(bool tails, RelationId r, EntityId anchor,

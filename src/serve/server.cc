@@ -435,8 +435,6 @@ void Server::ServeBatch(std::vector<PendingRequest>& batch) {
     // request keeps its own-K prefix. Top-K lists are a pure function of
     // the model (score desc, entity asc total order), so a K' prefix of a
     // K-run equals a direct K'-run bit for bit.
-    SweepSpec spec;
-    bool degraded = options_.force_oracle;
     std::vector<TopKQuery> queries;
     queries.reserve(topk_indices.size());
     for (size_t i : topk_indices) {
@@ -446,9 +444,6 @@ void Server::ServeBatch(std::vector<PendingRequest>& batch) {
       query.relation = request.relation;
       query.anchor = request.anchor;
       queries.push_back(std::move(query));
-      if (!model.DescribeSweep(request.tails, request.relation, &spec)) {
-        degraded = true;  // no kernel sweep: engine falls back to oracle
-      }
     }
     TopKOptions topt;
     topt.k = static_cast<int>(std::max<uint32_t>(max_k_needed, 1));
@@ -469,7 +464,7 @@ void Server::ServeBatch(std::vector<PendingRequest>& batch) {
       const Request& request = batch[topk_indices[j]].request;
       Reply& reply = replies[topk_indices[j]];
       reply.status = ReplyStatus::kOk;
-      if (degraded) reply.flags |= kReplyFlagDegraded;
+      if (options_.force_oracle) reply.flags |= kReplyFlagDegraded;
       const std::vector<TopKEntry>& list =
           request.filtered ? results[j].filtered : results[j].raw;
       uint32_t k = std::min<uint32_t>(

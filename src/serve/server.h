@@ -15,8 +15,8 @@
 //   deadline     expired before scoring => DEADLINE_EXCEEDED, never scored
 //   malformed    bad frame => MALFORMED reply, connection closed
 //   slow client  write timeout => drop + close (kgc.serve.slow_client_drops)
-//   degradation  model without a kernel sweep (or KGC_SERVE_FORCE_ORACLE=1)
-//                => oracle sweep, reply flagged degraded; bit-identical
+//   degradation  KGC_SERVE_FORCE_ORACLE=1 => oracle sweep, reply flagged
+//                degraded; bit-identical
 //   rotation     Repin between batches; replies carry the generation
 //   SIGTERM      Shutdown(): stop accepting, drain the queue, answer
 //                everything queued, then exit (kgc.serve.drained_requests)

@@ -32,16 +32,6 @@ void BinaryWriter::WriteU64(uint64_t value) { Append(&value, sizeof(value)); }
 void BinaryWriter::WriteDouble(double value) { Append(&value, sizeof(value)); }
 void BinaryWriter::WriteFloat(float value) { Append(&value, sizeof(value)); }
 
-void BinaryWriter::WriteString(const std::string& value) {
-  WriteU64(value.size());
-  Append(value.data(), value.size());
-}
-
-void BinaryWriter::WriteDoubleVector(const std::vector<double>& values) {
-  WriteU64(values.size());
-  Append(values.data(), values.size() * sizeof(double));
-}
-
 void BinaryWriter::WriteFloatVector(std::span<const float> values) {
   WriteU64(values.size());
   Append(values.data(), values.size() * sizeof(float));
@@ -138,26 +128,6 @@ StatusOr<float> BinaryReader::ReadFloat() {
   float value = 0;
   KGC_RETURN_IF_ERROR(ReadBytes(&value, sizeof(value)));
   return value;
-}
-
-StatusOr<std::string> BinaryReader::ReadString() {
-  auto size = ReadU64();
-  if (!size.ok()) return size.status();
-  std::string value(static_cast<size_t>(*size), '\0');
-  KGC_RETURN_IF_ERROR(ReadBytes(value.data(), value.size()));
-  return value;
-}
-
-StatusOr<std::vector<double>> BinaryReader::ReadDoubleVector() {
-  auto size = ReadU64();
-  if (!size.ok()) return size.status();
-  if (*size > (buffer_.size() - position_) / sizeof(double)) {
-    return Status::IoError("vector length exceeds buffer");
-  }
-  std::vector<double> values(static_cast<size_t>(*size));
-  KGC_RETURN_IF_ERROR(
-      ReadBytes(values.data(), values.size() * sizeof(double)));
-  return values;
 }
 
 StatusOr<std::vector<float>> BinaryReader::ReadFloatVector() {

@@ -30,8 +30,6 @@ class BinaryWriter {
   void WriteI64(int64_t value) { WriteU64(static_cast<uint64_t>(value)); }
   void WriteDouble(double value);
   void WriteFloat(float value);
-  void WriteString(const std::string& value);
-  void WriteDoubleVector(const std::vector<double>& values);
   void WriteFloatVector(std::span<const float> values);
 
   const std::vector<uint8_t>& buffer() const { return buffer_; }
@@ -64,8 +62,6 @@ class BinaryReader {
   StatusOr<int64_t> ReadI64();
   StatusOr<double> ReadDouble();
   StatusOr<float> ReadFloat();
-  StatusOr<std::string> ReadString();
-  StatusOr<std::vector<double>> ReadDoubleVector();
   StatusOr<std::vector<float>> ReadFloatVector();
 
   bool AtEnd() const { return position_ == buffer_.size(); }

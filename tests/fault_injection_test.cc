@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 
@@ -149,14 +150,18 @@ TEST_F(FaultInjectionTest, QuarantineRenameFailureFallsBackToRemoval) {
 
 // --- Atomic writes under injected faults --------------------------------
 
+// Distinct 8-byte payloads; a torn write of either leaves a bad footer.
+constexpr uint64_t kGoodArtifact = 0x600d600d600d600dULL;
+constexpr uint64_t kNewerArtifact = 0x9e3779b97f4a7c15ULL;
+
 TEST_F(FaultInjectionTest, TornWriteNeverReplacesGoodArtifact) {
   const std::string path = TempPath("kgc_fi_torn.bin");
   BinaryWriter good;
-  good.WriteString("good artifact");
+  good.WriteU64(kGoodArtifact);
   ASSERT_TRUE(good.Flush(path).ok());
 
   BinaryWriter update;
-  update.WriteString("newer artifact");
+  update.WriteU64(kNewerArtifact);
   // Three failures exhaust Flush's retry budget.
   FaultInjector::Get().Arm(FaultKind::kTornWrite, /*times=*/3, /*skip=*/0,
                            /*payload=*/4);
@@ -165,7 +170,7 @@ TEST_F(FaultInjectionTest, TornWriteNeverReplacesGoodArtifact) {
   // The destination still holds the complete previous artifact.
   auto reader = BinaryReader::FromFile(path);
   ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(*reader->ReadString(), "good artifact");
+  EXPECT_EQ(*reader->ReadU64(), kGoodArtifact);
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
 }
@@ -175,11 +180,11 @@ TEST_F(FaultInjectionTest, TransientTornWriteIsRetried) {
   FaultInjector::Get().Arm(FaultKind::kTornWrite, /*times=*/2, /*skip=*/0,
                            /*payload=*/4);
   BinaryWriter writer;
-  writer.WriteString("persisted despite two torn writes");
+  writer.WriteU64(kNewerArtifact);
   EXPECT_TRUE(writer.Flush(path).ok());
   auto reader = BinaryReader::FromFile(path);
   ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(*reader->ReadString(), "persisted despite two torn writes");
+  EXPECT_EQ(*reader->ReadU64(), kNewerArtifact);
   std::remove(path.c_str());
 }
 
@@ -207,14 +212,14 @@ TEST_F(FaultInjectionTest, RenameFailureLeavesNoPartialFile) {
 TEST_F(FaultInjectionTest, ShortReadIsRetriedThenFails) {
   const std::string path = TempPath("kgc_fi_short_read.bin");
   BinaryWriter writer;
-  writer.WriteString("short read victim");
+  writer.WriteU64(kGoodArtifact);
   ASSERT_TRUE(writer.Flush(path).ok());
 
   // One transient short read: the retry succeeds.
   FaultInjector::Get().Arm(FaultKind::kShortRead, /*times=*/1);
   auto reader = BinaryReader::FromFile(path);
   ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(*reader->ReadString(), "short read victim");
+  EXPECT_EQ(*reader->ReadU64(), kGoodArtifact);
 
   // A persistently failing device exhausts the retries.
   FaultInjector::Get().Arm(FaultKind::kShortRead, /*times=*/5);

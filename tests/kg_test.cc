@@ -179,17 +179,23 @@ TEST(TripleStorePackingTest, RejectsIdsBeyondPackedWidths) {
   EXPECT_DEATH(TripleStore({}, 1, kMaxPackedRelations + 1), "");
 }
 
-TEST(DatasetTest, StoresAreCachedAndInvalidate) {
+TEST(DatasetTest, StoresAreCached) {
   Vocab vocab;
   vocab.InternEntity("a");
   vocab.InternEntity("b");
   vocab.InternRelation("r");
-  Dataset dataset("d", vocab, {{0, 0, 1}}, {}, {{1, 0, 0}});
+  const Dataset dataset("d", vocab, {{0, 0, 1}}, {}, {{1, 0, 0}});
   EXPECT_EQ(dataset.train_store().size(), 1u);
   EXPECT_EQ(dataset.all_store().size(), 2u);
-  dataset.mutable_train().push_back({1, 0, 0});
-  dataset.InvalidateCaches();
-  EXPECT_EQ(dataset.train_store().size(), 2u);
+  EXPECT_EQ(&dataset.train_store(), &dataset.train_store());
+  EXPECT_EQ(&dataset.all_store(), &dataset.all_store());
+  // A changed split means a new dataset, with stores built from it.
+  TripleList train = dataset.train();
+  train.push_back({1, 0, 0});
+  const Dataset edited("d", dataset.vocab(), std::move(train),
+                       dataset.valid(), dataset.test());
+  EXPECT_EQ(edited.train_store().size(), 2u);
+  EXPECT_EQ(edited.all_store().size(), 3u);
 }
 
 TEST(DatasetTest, CountsUsedSymbols) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 
 #include "datagen/presets.h"
@@ -12,6 +14,8 @@
 #include "models/model_store.h"
 #include "models/trainer.h"
 #include "models/transe.h"
+#include "util/crc32.h"
+#include "util/vecmath.h"
 
 namespace kgc {
 namespace {
@@ -158,6 +162,76 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ModelType>& info) {
       return ModelTypeName(info.param);
     });
+
+// Golden CRC-32s of every batch score each model writes over a small
+// (anchor, relation) grid, tails then heads, after one epoch of default
+// training (so ConvE's entity biases and every other table are off their
+// initial values). Recorded before the per-model batch scorers were folded
+// into KgeModel's one recipe; any change to a query, kernel, bias or
+// negation moves one of these, on either kernel path.
+TEST(ModelScoringTest, BatchScoresMatchGoldenCrcs) {
+  const SyntheticKg kg = GenerateTiny(5);
+  struct Golden {
+    ModelType type;
+    bool l1_distance;
+    uint32_t crc;
+  };
+  const Golden kGolden[] = {
+      {ModelType::kTransE, false, 0x45539942},
+      {ModelType::kTransE, true, 0x27ad19c8},
+      {ModelType::kTransH, false, 0xb93e11f1},
+      {ModelType::kTransH, true, 0x54922e7f},
+      {ModelType::kTransR, false, 0x154302cf},
+      {ModelType::kTransR, true, 0xc571e52e},
+      {ModelType::kTransD, false, 0x470e0964},
+      {ModelType::kTransD, true, 0x085522b6},
+      {ModelType::kRescal, false, 0xfdca08bf},
+      {ModelType::kDistMult, false, 0x23b6701a},
+      {ModelType::kComplEx, false, 0x363cc9d4},
+      {ModelType::kRotatE, false, 0xf8003374},
+      {ModelType::kTuckER, false, 0x57ecfb35},
+      {ModelType::kConvE, false, 0xdec97df4},
+  };
+  const int32_t n = kg.dataset.num_entities();
+  const EntityId kAnchors[] = {0, 5, n - 1};
+
+  const bool was_native = std::strcmp(vec::Ops().name, "native") == 0;
+  for (const vec::KernelPath path :
+       {vec::KernelPath::kGeneric, vec::KernelPath::kNative}) {
+    vec::SetKernelPathForTest(path);
+    for (const Golden& golden : kGolden) {
+      ModelHyperParams params = DefaultHyperParams(golden.type);
+      params.dim = 8;
+      params.l1_distance = golden.l1_distance;
+      auto model = CreateModel(golden.type, n, kg.dataset.num_relations(),
+                               params);
+      TrainOptions options = DefaultTrainOptions(golden.type);
+      options.epochs = 1;
+      options.seed = 9;
+      TrainModel(*model, kg.dataset, options);
+      std::vector<float> scores(static_cast<size_t>(n));
+      uint32_t crc = 0;
+      for (const bool tails : {true, false}) {
+        for (RelationId r = 0; r < kg.dataset.num_relations(); ++r) {
+          for (const EntityId anchor : kAnchors) {
+            if (tails) {
+              model->ScoreTails(anchor, r, scores);
+            } else {
+              model->ScoreHeads(r, anchor, scores);
+            }
+            crc = Crc32Update(crc, scores.data(),
+                              scores.size() * sizeof(float));
+          }
+        }
+      }
+      EXPECT_EQ(crc, golden.crc)
+          << ModelTypeName(golden.type) << " l1=" << golden.l1_distance
+          << " path=" << vec::Ops().name << " crc=0x" << std::hex << crc;
+    }
+  }
+  vec::SetKernelPathForTest(was_native ? vec::KernelPath::kNative
+                                       : vec::KernelPath::kGeneric);
+}
 
 // --- Model-specific algebraic identities. -------------------------------
 

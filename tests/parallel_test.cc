@@ -241,6 +241,74 @@ std::string TableBytes(const std::vector<TripleRanks>& table) {
   return bytes;
 }
 
+/// How many times the default filter store (train + valid + test) holds
+/// each fact.
+using FactCopies = std::map<std::tuple<EntityId, RelationId, EntityId>, int>;
+
+FactCopies StoredCopies(const Dataset& dataset) {
+  FactCopies copies;
+  for (const TripleList* split :
+       {&dataset.train(), &dataset.valid(), &dataset.test()}) {
+    for (const Triple& t : *split) ++copies[{t.head, t.relation, t.tail}];
+  }
+  return copies;
+}
+
+/// Brute-force tie-averaged raw and filtered rank of `truth` among
+/// `scores`; `copies_of(e)` is how many times candidate e is a stored fact.
+template <typename CopiesOf>
+void ReferenceRank(const std::vector<float>& scores, EntityId truth,
+                   const CopiesOf& copies_of, double* raw, double* filtered) {
+  const float s_true = scores[static_cast<size_t>(truth)];
+  double greater = 0;
+  double equal = 0;
+  double greater_known = 0;
+  double equal_known = 0;
+  for (size_t e = 0; e < scores.size(); ++e) {
+    const EntityId candidate = static_cast<EntityId>(e);
+    if (candidate == truth) continue;
+    if (scores[e] > s_true) {
+      greater += 1;
+      greater_known += copies_of(candidate);
+    } else if (scores[e] == s_true) {
+      equal += 1;
+      equal_known += copies_of(candidate);
+    }
+  }
+  *raw = greater + equal / 2.0 + 1.0;
+  *filtered = (greater - greater_known) + (equal - equal_known) / 2.0 + 1.0;
+}
+
+/// The per-triple reference RankTriples must reproduce: both sides of every
+/// test triple scored by a sweep of their own and ranked by ReferenceRank,
+/// each candidate filtered once per stored copy of its triple.
+std::vector<TripleRanks> BruteForceRanks(const LinkPredictor& predictor,
+                                         const Dataset& dataset) {
+  const FactCopies copies = StoredCopies(dataset);
+  const auto copies_of = [&](EntityId h, RelationId r, EntityId t) {
+    const auto it = copies.find({h, r, t});
+    return it == copies.end() ? 0 : it->second;
+  };
+  std::vector<TripleRanks> ranks(dataset.test().size());
+  std::vector<float> scores(static_cast<size_t>(predictor.num_entities()));
+  for (size_t i = 0; i < dataset.test().size(); ++i) {
+    const Triple& t = dataset.test()[i];
+    TripleRanks& out = ranks[i];
+    out.triple = t;
+    predictor.ScoreTails(t.head, t.relation, scores);
+    ReferenceRank(
+        scores, t.tail,
+        [&](EntityId e) { return copies_of(t.head, t.relation, e); },
+        &out.tail_raw, &out.tail_filtered);
+    predictor.ScoreHeads(t.relation, t.tail, scores);
+    ReferenceRank(
+        scores, t.head,
+        [&](EntityId e) { return copies_of(e, t.relation, t.tail); },
+        &out.head_raw, &out.head_filtered);
+  }
+  return ranks;
+}
+
 void ExpectSameOverlaps(const std::vector<RelationPairOverlap>& a,
                         const std::vector<RelationPairOverlap>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -296,8 +364,9 @@ TEST(ParallelDeterminismTest, RankTriplesIsThreadCountInvariant) {
 TEST(ParallelDeterminismTest, QueryDedupIsBitIdenticalAcrossThreadCounts) {
   // A duplicate-heavy test split: few anchors and relations, so most test
   // triples share a ScoreTails/ScoreHeads query with an earlier one. The
-  // deduplicated sweep must reproduce the non-deduplicated ranks bit for
-  // bit, at every thread count.
+  // deduplicated sweep must reproduce the per-triple reference, which
+  // scores every triple with a sweep of its own, bit for bit at every
+  // thread count.
   const int32_t num_entities = 25;
   Vocab vocab;
   for (int32_t i = 0; i < num_entities; ++i) {
@@ -318,20 +387,15 @@ TEST(ParallelDeterminismTest, QueryDedupIsBitIdenticalAcrossThreadCounts) {
                         std::move(test));
   const HashPredictor predictor(num_entities);
 
-  RankerOptions baseline_options;
-  baseline_options.threads = 1;
-  baseline_options.dedup_queries = false;
-  const auto baseline =
-      RankTriples(predictor, dataset, dataset.test(), baseline_options);
-  ASSERT_FALSE(baseline.empty());
-  for (bool dedup : {false, true}) {
-    for (int threads : {1, 2, 4}) {
-      RankerOptions options;
-      options.threads = threads;
-      options.dedup_queries = dedup;
-      ExpectSameRanks(
-          baseline, RankTriples(predictor, dataset, dataset.test(), options));
-    }
+  const std::vector<TripleRanks> expected =
+      BruteForceRanks(predictor, dataset);
+  ASSERT_FALSE(expected.empty());
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    RankerOptions options;
+    options.threads = threads;
+    ExpectSameRanks(expected,
+                    RankTriples(predictor, dataset, dataset.test(), options));
   }
 }
 
@@ -443,67 +507,22 @@ TEST(ParallelDeterminismTest, DuplicateFactsFilterOncePerStoredCopy) {
                         std::move(test));
   const HashPredictor predictor(num_entities);
 
-  // Stored copies of every fact the default filter (train + valid + test)
-  // holds.
-  std::map<std::tuple<EntityId, RelationId, EntityId>, int> copies;
-  for (const TripleList* split :
-       {&dataset.train(), &dataset.valid(), &dataset.test()}) {
-    for (const Triple& t : *split) ++copies[{t.head, t.relation, t.tail}];
-  }
-  // Brute-force tie-averaged rank of `truth` among `scores`; `copies_of(e)`
-  // is how many times candidate e is a stored fact.
-  const auto reference = [&](const std::vector<float>& scores,
-                             EntityId truth, const auto& copies_of,
-                             double* raw, double* filtered) {
-    const float s_true = scores[static_cast<size_t>(truth)];
-    double greater = 0;
-    double equal = 0;
-    double greater_known = 0;
-    double equal_known = 0;
-    for (EntityId e = 0; e < num_entities; ++e) {
-      if (e == truth) continue;
-      const float s = scores[static_cast<size_t>(e)];
-      if (s > s_true) {
-        greater += 1;
-        greater_known += copies_of(e);
-      } else if (s == s_true) {
-        equal += 1;
-        equal_known += copies_of(e);
-      }
-    }
-    *raw = greater + equal / 2.0 + 1.0;
-    *filtered = (greater - greater_known) + (equal - equal_known) / 2.0 + 1.0;
-  };
-  std::vector<TripleRanks> expected(dataset.test().size());
+  const std::vector<TripleRanks> expected =
+      BruteForceRanks(predictor, dataset);
+  // Would counting each fact once give a different tail rank somewhere?
+  const FactCopies copies = StoredCopies(dataset);
   bool duplicate_filtered = false;
   std::vector<float> scores(static_cast<size_t>(num_entities));
   for (size_t i = 0; i < dataset.test().size(); ++i) {
     const Triple& t = dataset.test()[i];
-    TripleRanks& out = expected[i];
-    out.triple = t;
     predictor.ScoreTails(t.head, t.relation, scores);
-    const auto tail_copies = [&](EntityId e) {
-      const auto it = copies.find({t.head, t.relation, e});
-      return it == copies.end() ? 0 : it->second;
+    const auto tail_once = [&](EntityId e) {
+      return copies.contains({t.head, t.relation, e}) ? 1 : 0;
     };
-    reference(scores, t.tail, tail_copies, &out.tail_raw,
-              &out.tail_filtered);
-    predictor.ScoreHeads(t.relation, t.tail, scores);
-    const auto head_copies = [&](EntityId e) {
-      const auto it = copies.find({e, t.relation, t.tail});
-      return it == copies.end() ? 0 : it->second;
-    };
-    reference(scores, t.head, head_copies, &out.head_raw,
-              &out.head_filtered);
-    // Would counting each fact once give a different rank?
     double raw = 0;
     double once = 0;
-    const auto tail_once = [&](EntityId e) {
-      return tail_copies(e) > 0 ? 1 : 0;
-    };
-    predictor.ScoreTails(t.head, t.relation, scores);
-    reference(scores, t.tail, tail_once, &raw, &once);
-    if (once != out.tail_filtered) duplicate_filtered = true;
+    ReferenceRank(scores, t.tail, tail_once, &raw, &once);
+    if (once != expected[i].tail_filtered) duplicate_filtered = true;
   }
   // Otherwise the duplicates never reach a filtered rank and the check is
   // vacuous.

@@ -1,19 +1,23 @@
 // Tests for the top-K retrieval engine (eval/topk.h): oracle agreement
 // across all ten models, K values, thread counts and filtered/unfiltered;
-// counter determinism across thread counts; kernel-path invariance; and the
-// fallback path for sweep-less predictors.
+// counter determinism across thread counts; kernel-path invariance; and
+// all-tied scores, which only the entity-id tie-break orders.
 
 #include "eval/topk.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
+#include "models/embedding.h"
 #include "models/model.h"
 #include "obs/metrics.h"
+#include "util/rng.h"
+#include "util/serialize.h"
 #include "util/vecmath.h"
 
 namespace kgc {
@@ -202,42 +206,65 @@ INSTANTIATE_TEST_SUITE_P(
       return ModelTypeName(info.param);
     });
 
-// A predictor with no kernel sweep: the engine must take the fallback path
-// and still match the oracle exactly.
-class StripedPredictor : public LinkPredictor {
- public:
-  const char* name() const override { return "striped"; }
-  int32_t num_entities() const override { return kEntities; }
-  void ScoreTails(EntityId h, RelationId r,
-                  std::span<float> out) const override {
-    for (size_t e = 0; e < out.size(); ++e) {
-      out[e] = static_cast<float>((e * 31 + h * 7 + r) % 97) / 97.0f;
-    }
+// A DistMult whose even relations have all-zero rows: every candidate of
+// those queries scores the same 0, so only the entity-id tie-break orders
+// the raw and filtered lists, and the blocked sweep must still match the
+// oracle exactly. Odd relations keep distinct scores.
+TEST(TopKTieTest, AllTiedScoresMatchOracle) {
+  const ModelHyperParams params = SmallParams(ModelType::kDistMult);
+  Rng rng(params.seed);
+  EmbeddingTable entities(kEntities, params.dim);
+  entities.InitUniform(rng, 1.0);
+  EmbeddingTable relations(kRelations, params.dim);
+  relations.InitUniform(rng, 1.0);
+  const size_t dim = static_cast<size_t>(params.dim);
+  for (size_t r = 0; r < static_cast<size_t>(kRelations); r += 2) {
+    std::fill_n(relations.mutable_data().begin() + r * dim, dim, 0.0f);
   }
-  void ScoreHeads(RelationId r, EntityId t,
-                  std::span<float> out) const override {
-    for (size_t e = 0; e < out.size(); ++e) {
-      out[e] = static_cast<float>((e * 13 + t * 5 + r) % 89) / 89.0f;
-    }
-  }
-};
+  BinaryWriter writer;
+  entities.Serialize(writer);
+  relations.Serialize(writer);
+  auto model =
+      CreateModel(ModelType::kDistMult, kEntities, kRelations, params);
+  BinaryReader reader(writer.buffer());
+  ASSERT_TRUE(model->Deserialize(reader).ok());
 
-TEST(TopKFallbackTest, SweeplessPredictorMatchesOracle) {
-  // Deliberately tie-heavy scores (97 distinct values over 150 entities):
-  // the entity-id tie-break must resolve them identically on both paths.
-  const StripedPredictor predictor;
   const auto queries = MakeQueries();
-  const TripleStore filter = MakeFilter();
+  // Query i's known facts hold candidate i % 5, so every filtered list
+  // drops one entity the raw list holds.
+  TripleList known;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const TopKQuery& q = queries[i];
+    const EntityId e = static_cast<EntityId>(i % 5);
+    known.push_back(q.tails ? Triple{q.anchor, q.relation, e}
+                            : Triple{e, q.relation, q.anchor});
+  }
+  const TripleStore filter(known, kEntities, kRelations);
   TopKOptions options;
   options.k = 10;
-  const TopKEngine engine(predictor, options);
+  options.tile_rows = 32;
+  options.query_block = 4;
+  const TopKEngine engine(*model, options);
   const auto results = engine.Run(queries, &filter);
+  bool saw_tie = false;
   for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "query " << i);
     const TopKResult oracle =
-        TopKEngine::OracleTopK(predictor, queries[i], options.k, &filter);
+        TopKEngine::OracleTopK(*model, queries[i], options.k, &filter);
     ExpectEntriesEqual(results[i].raw, oracle.raw, "raw");
     ExpectEntriesEqual(results[i].filtered, oracle.filtered, "filtered");
+    if (queries[i].relation % 2 == 0) {
+      // All tied: the raw list is entities 0..k-1 in id order.
+      for (size_t j = 0; j < results[i].raw.size(); ++j) {
+        EXPECT_EQ(results[i].raw[j].score, 0.0f);
+        EXPECT_EQ(results[i].raw[j].entity, static_cast<EntityId>(j));
+      }
+      // Filtered: entities 0..k in id order, less the known one.
+      EXPECT_EQ(results[i].filtered.back().entity, options.k);
+      saw_tie = true;
+    }
   }
+  EXPECT_TRUE(saw_tie);
 }
 
 TEST(TopKOptionsTest, KLargerThanEntityCountReturnsEverything) {

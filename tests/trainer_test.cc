@@ -24,11 +24,14 @@ namespace {
 // change to the arithmetic or the order of a training update moves one of
 // these, on either kernel path.
 TEST(TrainerTest, TrainedParametersMatchGoldenCrcs) {
-  SyntheticKg kg = GenerateTiny(5);
+  const SyntheticKg tiny = GenerateTiny(5);
   // A self-loop pins the update order when both sides share one entity row
   // (ConvE updates its output entity before its input entity).
-  kg.dataset.mutable_train().push_back(Triple{3, 0, 3});
-  kg.dataset.InvalidateCaches();
+  TripleList train = tiny.dataset.train();
+  train.push_back(Triple{3, 0, 3});
+  const Dataset dataset(tiny.dataset.name(), tiny.dataset.vocab(),
+                        std::move(train), tiny.dataset.valid(),
+                        tiny.dataset.test());
 
   struct Golden {
     ModelType type;
@@ -57,12 +60,12 @@ TEST(TrainerTest, TrainedParametersMatchGoldenCrcs) {
       ModelHyperParams params = DefaultHyperParams(golden.type);
       params.dim = 8;
       params.adagrad = golden.adagrad;
-      auto model = CreateModel(golden.type, kg.dataset.num_entities(),
-                               kg.dataset.num_relations(), params);
+      auto model = CreateModel(golden.type, dataset.num_entities(),
+                               dataset.num_relations(), params);
       TrainOptions options = DefaultTrainOptions(golden.type);
       options.epochs = 2;
       options.seed = 9;
-      TrainModel(*model, kg.dataset, options);
+      TrainModel(*model, dataset, options);
       BinaryWriter writer;
       model->Serialize(writer);
       const uint32_t crc =
