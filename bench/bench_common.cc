@@ -168,14 +168,7 @@ int RunBench(int argc, char** argv, const char* name, int (*run)()) {
 }
 
 ExperimentContext MakeContext() {
-  ExperimentOptions options;
-  const char* cache_dir = std::getenv("KGC_CACHE_DIR");
-  options.cache_dir = cache_dir != nullptr ? cache_dir : "kgc_cache";
-  const char* epoch_scale = std::getenv("KGC_EPOCH_SCALE");
-  if (epoch_scale != nullptr) {
-    options.epoch_scale = std::atof(epoch_scale);
-  }
-  return ExperimentContext(std::move(options));
+  return ExperimentContext(ExperimentOptions::FromEnv());
 }
 
 std::unique_ptr<RulePredictor> BuildAmie(const Dataset& dataset) {
@@ -203,6 +196,14 @@ std::unique_ptr<SimpleRuleModel> BuildSimpleModel(const Dataset& dataset) {
 std::string Mr(double value) { return FormatDouble(value, 1); }
 std::string Pct(double fraction) { return FormatDouble(fraction * 100.0, 1); }
 std::string Mrr(double value) { return FormatDouble(value, 3); }
+
+std::vector<std::string> CategoryHeader() {
+  std::vector<std::string> header = {"Model"};
+  for (int c = 0; c < 4; ++c) {
+    header.push_back(RelationCategoryName(static_cast<RelationCategory>(c)));
+  }
+  return header;
+}
 
 std::vector<std::string> RawAndFilteredRow(const std::string& label,
                                            const LinkPredictionMetrics& m) {

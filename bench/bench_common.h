@@ -115,8 +115,9 @@ TopKBenchPoint MeasureTopKRetrieval(const KgeModel& model,
                                     const TripleStore* filter = nullptr,
                                     size_t queries_per_run = 0);
 
-/// Builds the canonical context: cache dir from $KGC_CACHE_DIR (default
-/// "kgc_cache"), default seeds, quiet training logs.
+/// Builds the canonical context from ExperimentOptions::FromEnv(): cache
+/// dir from $KGC_CACHE_DIR (default "kgc_cache"), epoch scale from
+/// $KGC_EPOCH_SCALE, default seeds, quiet training logs.
 ExperimentContext MakeContext();
 
 /// AMIE predictor over a dataset's training split. The returned predictor
@@ -135,6 +136,10 @@ std::unique_ptr<SimpleRuleModel> BuildSimpleModel(const Dataset& dataset);
 std::string Mr(double value);        // mean rank, 1 decimal
 std::string Pct(double fraction);    // percentage, 1 decimal
 std::string Mrr(double value);       // reciprocal rank, 3 decimals
+
+/// Header "Model" plus the four relation category names, "1-to-1" to
+/// "n-to-m" (Figures 7 and 8).
+std::vector<std::string> CategoryHeader();
 
 /// Eight-column row "MR H10 MRR FMR FH10 FMRR" (paper Tables 5/6 layout).
 std::vector<std::string> RawAndFilteredRow(const std::string& label,

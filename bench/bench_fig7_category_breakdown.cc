@@ -26,7 +26,7 @@ int Run() {
 
   AsciiTable table(
       "Figure 7a: #relations with the best FMRR, by model and category");
-  table.SetHeader({"Model", "1-to-1", "1-to-n", "n-to-1", "n-to-m"});
+  table.SetHeader(CategoryHeader());
   std::array<int, 4> totals = {};
   for (size_t m = 0; m < models.size(); ++m) {
     table.AddRow({models[m].model, StrFormat("%d", counts[m][0]),
@@ -38,7 +38,7 @@ int Run() {
 
   AsciiTable breakdown(
       "Figure 7b: share of category wins per model (ties shared)");
-  breakdown.SetHeader({"Model", "1-to-1", "1-to-n", "n-to-1", "n-to-m"});
+  breakdown.SetHeader(CategoryHeader());
   for (size_t m = 0; m < models.size(); ++m) {
     std::vector<std::string> row = {models[m].model};
     for (size_t c = 0; c < 4; ++c) {

@@ -25,7 +25,7 @@ int Run() {
   const auto counts = CountBestRelationsByCategory(models, categories);
   AsciiTable fig8(
       "Figure 8a: #relations with the best FMRR, by model and category");
-  fig8.SetHeader({"Model", "1-to-1", "1-to-n", "n-to-1", "n-to-m"});
+  fig8.SetHeader(CategoryHeader());
   for (size_t m = 0; m < models.size(); ++m) {
     fig8.AddRow({models[m].model, StrFormat("%d", counts[m][0]),
                  StrFormat("%d", counts[m][1]), StrFormat("%d", counts[m][2]),

@@ -36,10 +36,10 @@ void RunDataset(ExperimentContext& context, const Dataset& dataset,
   CategoryHeadTailHits sizes = ComputeCategoryHeadTailHits(
       context.GetRanks(dataset, ModelType::kTransE), categories);
   std::printf("category sizes (relations / test triples): ");
-  const char* names[] = {"1-to-1", "1-to-n", "n-to-1", "n-to-m"};
   for (size_t c = 0; c < 4; ++c) {
-    std::printf("%s: %zu/%zu  ", names[c], sizes.num_relations[c],
-                sizes.num_triples[c]);
+    std::printf("%s: %zu/%zu  ",
+                RelationCategoryName(static_cast<RelationCategory>(c)),
+                sizes.num_relations[c], sizes.num_triples[c]);
   }
   std::printf("\n");
 }

@@ -38,12 +38,11 @@ if [[ "${SANITIZERS}" == *thread* ]]; then
   # dispatch table resolve races on first use). harness_test adds the
   # supervisor's watchdog thread + waitpid polling loop, and ingest_test
   # covers the rejected-files counter shared with parallel loaders.
-  # kg_test and flat_set_test pin the storage substrate: TripleStore's flat
-  # membership sets are probed concurrently (const-only) from every
-  # filtered top-K shard, so the batched probe path must be race-free
-  # (ranking shards resolve filtered ranks from the CSR adjacency and no
-  # longer probe). topk_test shards query groups across workers and
-  # asserts bit-identical results at 1/2/4 threads.
+  # kg_test and flat_set_test pin the storage substrate: ranking and
+  # filtered top-K shards read TripleStore's CSR spans concurrently
+  # (const-only), and the top-K oracle probes its flat membership set.
+  # topk_test shards query groups across workers and asserts
+  # bit-identical results at 1/2/4 threads.
   export KGC_THREADS=4
   # report_signal_unsafe=0: the BenchTelemetry crash handler deliberately
   # flushes the run report from inside a fatal-signal handler (a
@@ -82,9 +81,9 @@ else
     ci/chaos.sh "${BUILD_DIR}"
 
     # Storage-substrate budget gate: the 100k-entity store must stay under
-    # the 64 bytes/triple ceiling and batched probes must not regress
-    # behind the replaced unordered_set substrate (bench_scale exits 1 on
-    # either breach). Under ASan the *memory* assertion still holds
+    # the 64 bytes/triple ceiling and scalar membership probes must not
+    # regress behind the replaced unordered_set substrate (bench_scale
+    # exits 1 on either breach). Under ASan the *memory* assertion still holds
     # (IndexBytes counts container capacities, not malloc overhead).
     # The same smoke run checks the top-K fast path against the full-sweep
     # oracle at K=10 on an untrained 100k-entity TransE table, bit for bit

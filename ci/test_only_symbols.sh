@@ -52,7 +52,6 @@ kgc::FaultInjector::DisarmSite(std::__cxx11::basic_string<char, std::char_traits
 kgc::FaultInjector::times_remaining(kgc::FaultKind) const  # test-only API: fault-budget inspection
 kgc::ThreadPool::num_workers() const  # test-only API: pool-size inspection
 kgc::obs::ClosePhaseResources()  # test-only API: CollectPhaseResources closes the open phase in production
-kgc::RelationCategoryName(kgc::RelationCategory)  # test-only API: no report prints category names
 kgc::SymbolTable::Find(std::basic_string_view<char, std::char_traits<char> >) const  # test-only API: Vocab::FindEntity/FindRelation
 kgc::CartesianPredictor::CartesianPredictor(kgc::TripleStore const&, kgc::DetectorOptions const&)  # test-only API: benches pass precomputed Cartesian relations
 kgc::CartesianPredictor::EnableTypeExtension(std::vector<int, std::allocator<int> >)  # test-only API: the paper's type extension, which no bench drives

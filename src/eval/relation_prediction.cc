@@ -13,18 +13,12 @@ RelationPredictionMetrics EvaluateRelationPrediction(const KgeModel& model,
   if (dataset.test().empty() || num_relations == 0) return metrics;
 
   std::vector<double> scores(static_cast<size_t>(num_relations));
-  std::vector<uint64_t> probe_keys(static_cast<size_t>(num_relations));
-  std::vector<uint8_t> known(static_cast<size_t>(num_relations));
   double sum_rank = 0, sum_inv = 0, hits1 = 0;
   double fsum_rank = 0, fsum_inv = 0, fhits1 = 0;
   for (const Triple& t : dataset.test()) {
     for (RelationId r = 0; r < num_relations; ++r) {
       scores[static_cast<size_t>(r)] = model.Score(t.head, r, t.tail);
-      probe_keys[static_cast<size_t>(r)] = PackTriple(t.head, r, t.tail);
     }
-    // One prefetched batch probe resolves (h, r', t) membership for every
-    // candidate relation at once.
-    all.ContainsBatch(probe_keys, known.data());
     const double s_true = scores[static_cast<size_t>(t.relation)];
     size_t greater = 0, equal = 0;
     size_t greater_known = 0, equal_known = 0;
@@ -32,12 +26,12 @@ RelationPredictionMetrics EvaluateRelationPrediction(const KgeModel& model,
       const double s = scores[static_cast<size_t>(r)];
       if (s > s_true) {
         ++greater;
-        if (r != t.relation && known[static_cast<size_t>(r)]) {
+        if (r != t.relation && all.Contains(t.head, r, t.tail)) {
           ++greater_known;
         }
       } else if (s == s_true && r != t.relation) {
         ++equal;
-        if (known[static_cast<size_t>(r)]) ++equal_known;
+        if (all.Contains(t.head, r, t.tail)) ++equal_known;
       }
     }
     const double raw =

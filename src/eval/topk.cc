@@ -43,9 +43,8 @@ class BoundedHeap {
  public:
   explicit BoundedHeap(size_t k) : k_(k) { entries_.reserve(k); }
 
-  /// True when (score, e) would enter the heap right now. A deferred
-  /// candidate must be re-checked after its filter probe: the threshold
-  /// only tightens, so a stale accept is never a wrong reject.
+  /// True when (score, e) would enter the heap right now. Checked before
+  /// the known-fact lookup, so a candidate that cannot enter skips it.
   bool WouldAccept(float score, EntityId e) const {
     if (entries_.size() < k_) return true;
     const TopKEntry& worst = entries_.front();
@@ -121,12 +120,6 @@ void SweepBlock(const vec::KernelOps& ops, SweepKind kind, const float* qs,
   }
 }
 
-inline uint64_t FilterKey(bool tails, RelationId r, EntityId anchor,
-                          EntityId candidate) {
-  return tails ? PackTriple(anchor, r, candidate)
-               : PackTriple(candidate, r, anchor);
-}
-
 // Full Score* sweep with heap selection: the oracle and the cross-check
 // reference.
 TopKResult FullSweepTopK(const LinkPredictor& predictor,
@@ -146,29 +139,17 @@ TopKResult FullSweepTopK(const LinkPredictor& predictor,
     raw.Push(scores[e], static_cast<EntityId>(e));
   }
   if (filter != nullptr) {
+    // Hash probes, not the CSR spans the engine reads, so the two filter
+    // by independent paths.
     BoundedHeap filt(kk);
-    std::vector<uint64_t> keys;
-    std::vector<std::pair<EntityId, float>> cands;
-    std::vector<uint8_t> found;
-    constexpr size_t kProbeBatch = 1024;
-    auto flush = [&] {
-      if (keys.empty()) return;
-      found.resize(keys.size());
-      filter->ContainsBatch(keys, found.data());
-      for (size_t j = 0; j < keys.size(); ++j) {
-        if (!found[j]) filt.Push(cands[j].second, cands[j].first);
-      }
-      keys.clear();
-      cands.clear();
-    };
     for (size_t e = 0; e < n; ++e) {
       const EntityId ent = static_cast<EntityId>(e);
       if (!filt.WouldAccept(scores[e], ent)) continue;
-      keys.push_back(FilterKey(query.tails, query.relation, query.anchor, ent));
-      cands.emplace_back(ent, scores[e]);
-      if (keys.size() >= kProbeBatch) flush();
+      const bool known =
+          query.tails ? filter->Contains(query.anchor, query.relation, ent)
+                      : filter->Contains(ent, query.relation, query.anchor);
+      if (!known) filt.Push(scores[e], ent);
     }
-    flush();
     result.filtered = std::move(filt).Sorted();
   }
   result.raw = std::move(raw).Sorted();
@@ -210,7 +191,6 @@ class GroupRunner {
         tally_(tally) {}
 
   void ProcessGroup(const size_t* order, size_t count) {
-    order_ = order;
     count_ = count;
     const TopKQuery& first = queries_[order[0]];
     tails_ = first.tails;
@@ -241,7 +221,17 @@ class GroupRunner {
 
     std::vector<BoundedHeap> raw(count, BoundedHeap(kk));
     std::vector<BoundedHeap> filt;
-    if (filter_) filt.assign(count, BoundedHeap(kk));
+    if (filter_) {
+      // Each query's known facts, looked up once: the sorted CSR span
+      // ranking filters through.
+      filt.assign(count, BoundedHeap(kk));
+      known_.resize(count);
+      for (size_t i = 0; i < count; ++i) {
+        const EntityId anchor = queries_[order[i]].anchor;
+        known_[i] = tails_ ? filter_->Tails(anchor, relation_)
+                           : filter_->Heads(relation_, anchor);
+      }
+    }
     SweepTiles(spec, v, coef, raw, filt);
 
     for (size_t i = 0; i < count; ++i) {
@@ -258,29 +248,6 @@ class GroupRunner {
   }
 
  private:
-  struct Candidate {
-    uint32_t query;  // local index within the group
-    EntityId entity;
-    float score;
-  };
-
-  // Flushes the deferred filtered-heap candidates of one (block, tile):
-  // one batched membership probe, then survivors re-checked against the
-  // (possibly tightened) threshold by Push itself.
-  void ProbeAndPush(std::vector<BoundedHeap>& filt) {
-    if (cands_.empty()) return;
-    found_.resize(keys_.size());
-    filter_->ContainsBatch(keys_, found_.data());
-    for (size_t j = 0; j < cands_.size(); ++j) {
-      if (found_[j]) continue;
-      if (filt[cands_[j].query].Push(cands_[j].score, cands_[j].entity)) {
-        ++tally_->heap_pushes;
-      }
-    }
-    cands_.clear();
-    keys_.clear();
-  }
-
   // Scans one tile's kernel output for the block of `num_q` queries that
   // starts at group-local index `q0`; the tile holds entities
   // [tile_base, tile_base + tile_n).
@@ -289,7 +256,7 @@ class GroupRunner {
                 std::vector<BoundedHeap>& raw,
                 std::vector<BoundedHeap>& filt) {
     for (size_t a = 0; a < num_q; ++a) {
-      const uint32_t q = static_cast<uint32_t>(q0 + a);
+      const size_t q = q0 + a;
       const float* row = out + a * tile_n;
       for (size_t i = 0; i < tile_n; ++i) {
         const EntityId ent = static_cast<EntityId>(tile_base + i);
@@ -297,15 +264,14 @@ class GroupRunner {
         if (spec.bias) score += spec.bias[ent];
         if (spec.negate) score = -score;
         if (raw[q].Push(score, ent)) ++tally_->heap_pushes;
-        if (filter_ && filt[q].WouldAccept(score, ent)) {
-          cands_.push_back({q, ent, score});
-          keys_.push_back(FilterKey(tails_, relation_,
-                                    queries_[order_[q]].anchor, ent));
+        if (filter_ && filt[q].WouldAccept(score, ent) &&
+            !std::binary_search(known_[q].begin(), known_[q].end(), ent)) {
+          filt[q].Push(score, ent);
+          ++tally_->heap_pushes;
         }
       }
     }
     tally_->entities_scored += num_q * tile_n;
-    if (filter_) ProbeAndPush(filt);
   }
 
   // Blocked sweep: each block of up to query_block queries is scored
@@ -339,7 +305,6 @@ class GroupRunner {
   Tally* tally_;
 
   // Per-group state.
-  const size_t* order_ = nullptr;
   size_t count_ = 0;
   bool tails_ = true;
   RelationId relation_ = 0;
@@ -347,9 +312,7 @@ class GroupRunner {
   std::vector<float> v_;
   std::vector<float> qbuf_;
   std::vector<float> out_;
-  std::vector<Candidate> cands_;
-  std::vector<uint64_t> keys_;
-  std::vector<uint8_t> found_;
+  std::vector<std::span<const EntityId>> known_;
 };
 
 }  // namespace

@@ -11,7 +11,10 @@
 //   2. Bounded per-query heaps — a K-entry heap ordered by
 //      (score desc, entity asc) replaces the full score vector; the
 //      entity-id tie-break makes results a pure function of the model, so
-//      they are bit-identical across KGC_THREADS and kernel paths.
+//      they are bit-identical across KGC_THREADS and kernel paths. The
+//      filtered heap skips known facts as ranking does: a binary search in
+//      the filter store's sorted CSR span for the query's (anchor,
+//      relation), looked up once per query.
 //
 // Every entity of the table is scored; DESIGN.md says why there is no
 // pruning.
@@ -86,7 +89,8 @@ class TopKEngine {
 
   /// Full-ranking oracle: ScoreTails/ScoreHeads over every entity, sorted
   /// by (score desc, entity asc), truncated to k. The reference Run must
-  /// match bit for bit.
+  /// match bit for bit. It filters through scalar TripleStore::Contains
+  /// hash probes, not the CSR spans Run reads.
   static TopKResult OracleTopK(const LinkPredictor& predictor,
                                const TopKQuery& query, int k,
                                const TripleStore* filter);

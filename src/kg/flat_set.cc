@@ -12,16 +12,6 @@ bool OverLoadCap(size_t size, size_t capacity) {
   return size * 5 >= capacity * 4;
 }
 
-// How far ahead of the probe cursor the batch loop prefetches fingerprint
-// lines. Large enough to cover a DRAM miss with the probes in between,
-// small enough that the outstanding prefetches fit the core's
-// miss-handling capacity.
-constexpr size_t kPrefetchDistance = 16;
-
-// How many fingerprint-matched probes sit in the deferred-verify ring with
-// their key line in flight before the key comparison runs.
-constexpr size_t kVerifyDelay = 8;
-
 }  // namespace
 
 void FlatSet::Reserve(size_t expected) {
@@ -81,109 +71,6 @@ void FlatSet::Grow(size_t min_capacity) {
   for (size_t i = 0; i < old_fps.size(); ++i) {
     if (old_fps[i] != 0) InsertNoGrow(Mix(old_keys[i]), old_keys[i]);
   }
-}
-
-size_t FlatSet::ContainsBatch(std::span<const uint64_t> keys,
-                              uint8_t* found) const {
-  size_t hits = 0;
-  if (size_ == 0) {
-    if (found != nullptr) std::fill_n(found, keys.size(), uint8_t{0});
-    return 0;
-  }
-
-  // Two pipelines, one pass:
-  //
-  //   1. A prefetch cursor touches the home fingerprint line of
-  //      key[i + D] while the probe cursor scans key[i]'s fingerprints, so
-  //      by the time a key is probed its fingerprint line has been in
-  //      flight for D probes (the in-flight hashes sit in a small ring so
-  //      no key is mixed twice).
-  //   2. The fingerprint scan alone resolves misses (an empty slot
-  //      terminates the chain) without ever touching the key array — the
-  //      fingerprint array is 1/9 its size and largely cache-resident.
-  //      A fingerprint *match* cannot resolve immediately without paying a
-  //      demand miss on the key line, so it prefetches that line and parks
-  //      in a deferred-verify ring; the key comparison runs kVerifyDelay
-  //      probes later, when the line has arrived. The rare false positive
-  //      (1/255 per scanned slot) resumes its scan inline.
-  //
-  // Net effect: a missing key costs one (usually cached) fingerprint line,
-  // a present key costs one fingerprint line plus one prefetched key line,
-  // and neither ever stalls the cursor on DRAM.
-  struct PendingVerify {
-    uint64_t key;
-    size_t index;  // position in `keys`
-    size_t slot;   // slot whose fingerprint matched
-    uint8_t fp;    // fingerprint, for the resume scan
-  };
-  uint64_t hash_ring[kPrefetchDistance];
-  PendingVerify pending[kVerifyDelay];
-  size_t pending_begin = 0;
-  size_t pending_end = 0;
-
-  const auto resolve = [&](const PendingVerify& p) {
-    if (keys_[p.slot] == p.key) {
-      if (found != nullptr) found[p.index] = 1;
-      ++hits;
-      return;
-    }
-    // Fingerprint false positive: resume the chain scan past the slot.
-    size_t slot = p.slot;
-    while (true) {
-      if (++slot == capacity_) slot = 0;
-      const uint8_t slot_fp = fingerprints_[slot];
-      if (slot_fp == 0) {
-        if (found != nullptr) found[p.index] = 0;
-        return;
-      }
-      if (slot_fp == p.fp && keys_[slot] == p.key) {
-        if (found != nullptr) found[p.index] = 1;
-        ++hits;
-        return;
-      }
-    }
-  };
-
-  const size_t n = keys.size();
-  const size_t warmup = std::min(n, kPrefetchDistance);
-  for (size_t i = 0; i < warmup; ++i) {
-    const uint64_t hash = Mix(keys[i]);
-    hash_ring[i % kPrefetchDistance] = hash;
-    __builtin_prefetch(&fingerprints_[HomeSlot(hash)], /*rw=*/0,
-                       /*locality=*/1);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t hash = hash_ring[i % kPrefetchDistance];
-    if (i + kPrefetchDistance < n) {
-      const uint64_t ahead = Mix(keys[i + kPrefetchDistance]);
-      hash_ring[(i + kPrefetchDistance) % kPrefetchDistance] = ahead;
-      __builtin_prefetch(&fingerprints_[HomeSlot(ahead)], /*rw=*/0,
-                         /*locality=*/1);
-    }
-    const uint8_t fp = Fingerprint(hash);
-    size_t slot = HomeSlot(hash);
-    while (true) {
-      const uint8_t slot_fp = fingerprints_[slot];
-      if (slot_fp == 0) {
-        if (found != nullptr) found[i] = 0;
-        break;
-      }
-      if (slot_fp == fp) {
-        __builtin_prefetch(&keys_[slot], /*rw=*/0, /*locality=*/1);
-        if (pending_end - pending_begin == kVerifyDelay) {
-          resolve(pending[pending_begin++ % kVerifyDelay]);
-        }
-        pending[pending_end++ % kVerifyDelay] =
-            PendingVerify{keys[i], i, slot, fp};
-        break;
-      }
-      if (++slot == capacity_) slot = 0;
-    }
-  }
-  while (pending_begin != pending_end) {
-    resolve(pending[pending_begin++ % kVerifyDelay]);
-  }
-  return hits;
 }
 
 }  // namespace kgc

@@ -1,12 +1,9 @@
 // Open-addressing flat hash set of 64-bit keys.
 //
-// Purpose-built for the membership probes that dominate filtered evaluation:
-// existence tests over packed (h, r, t) keys and linked-pair tests over
-// packed (h, t) keys. Compared to std::unordered_set it stores no nodes and
-// chases no pointers — two flat arrays (one fingerprint byte and one key per
-// slot) with linear probing — and a *batch* of probes software-prefetches
-// its lines ahead of use (the DRAMHiT ht_helper idiom) to overlap the DRAM
-// latency of independent lookups.
+// Backs TripleStore's existence tests over packed (h, r, t) keys.
+// Compared to std::unordered_set it stores no nodes and chases no
+// pointers: two flat arrays (one fingerprint byte and one key per slot)
+// with linear probing.
 //
 // Properties:
 //   - exact-fit capacity (no power-of-two rounding): the home slot is the
@@ -29,7 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace kgc {
@@ -52,13 +48,6 @@ class FlatSet {
     const uint64_t hash = Mix(key);
     return ProbeAt(HomeSlot(hash), Fingerprint(hash), key);
   }
-
-  /// Probes every key of `keys`, software-prefetching each key's home slot a
-  /// fixed distance ahead so independent probes overlap their cache misses.
-  /// If `found` is non-null it receives one 0/1 byte per key (found[i] for
-  /// keys[i]); it must hold keys.size() bytes. Returns the number of hits.
-  size_t ContainsBatch(std::span<const uint64_t> keys,
-                       uint8_t* found = nullptr) const;
 
   size_t size() const { return size_; }
   size_t capacity() const { return fingerprints_.size(); }

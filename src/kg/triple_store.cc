@@ -148,10 +148,11 @@ TripleStore::TripleStore(TripleList triples, int32_t num_entities,
 
   // Existence set: sized exactly (duplicates were counted above), with 3/5
   // extra slack so the table runs at ~0.5 load instead of the FlatSet
-  // default ~0.8. Filtered ranking batch-probes this table millions of
-  // times; at 0.8 load the linear-probe chains roughly double the probe
-  // latency, and the ~4 extra bytes/key are paid for by the 4-byte CSR
-  // group keys and the sorted linked-pair array below.
+  // default ~0.8. Training's negative sampler probes it once per corrupted
+  // example, millions of times per model; at 0.8 load the linear-probe
+  // chains roughly double the probe latency, and the ~4 extra bytes/key
+  // are paid for by the 4-byte CSR group keys and the sorted linked-pair
+  // array below.
   existence_.Reserve(distinct_triples + distinct_triples * 3 / 5);
   for (size_t i = 0; i < n; ++i) {
     if (i > 0 && triples_[i - 1] == triples_[i]) continue;
@@ -224,18 +225,6 @@ std::span<const EntityId> TripleStore::Heads(RelationId r, EntityId t) const {
   return GroupSlice(rt_keys_, rt_offsets_, rt_heads_,
                     rt_rel_groups_[static_cast<size_t>(r)],
                     rt_rel_groups_[static_cast<size_t>(r) + 1], t);
-}
-
-size_t TripleStore::ContainsBatch(std::span<const uint64_t> packed_triples,
-                                  uint8_t* found) const {
-  static obs::Counter& batch_hits =
-      obs::Registry::Get().GetCounter(obs::kStoreProbeBatchHits);
-  static obs::Counter& batch_misses =
-      obs::Registry::Get().GetCounter(obs::kStoreProbeBatchMisses);
-  const size_t hits = existence_.ContainsBatch(packed_triples, found);
-  batch_hits.Add(hits);
-  batch_misses.Add(packed_triples.size() - hits);
-  return hits;
 }
 
 PairSetView TripleStore::Pairs(RelationId r) const {

@@ -3,8 +3,10 @@
 // TripleStore is built once from a list of triples and then serves the access
 // patterns the rest of the library needs:
 //   - iteration over all triples and over one relation's triples,
-//   - adjacency lookups tails(h, r) / heads(r, t),
-//   - existence tests Contains(h, r, t) for filtered evaluation,
+//   - adjacency lookups tails(h, r) / heads(r, t), whose sorted spans are
+//     the known facts filtered ranking and top-K retrieval skip,
+//   - existence tests Contains(h, r, t) for negative sampling,
+//     classification, leakage checks and the top-K oracle,
 //   - per-relation subject/object/pair sets for redundancy analysis.
 //
 // Storage substrate (million-scale): adjacency is CSR — per-relation sorted
@@ -12,11 +14,10 @@
 // ranges, so a group key is just the 4-byte entity id) with offset arrays
 // into contiguous neighbor arrays, looked up by binary search within the
 // relation's group range — and membership is a flat open-addressing hash set
-// over packed triple keys with batched, software-prefetched probes (see
-// kg/flat_set.h). The per-relation pair/subject/object accessors return
-// lightweight view types over the CSR arrays instead of materialized
-// std::unordered_sets, so the whole index costs a few dozen bytes per
-// triple instead of hundreds.
+// over packed triple keys (see kg/flat_set.h). The per-relation
+// pair/subject/object accessors return lightweight view types over the CSR
+// arrays instead of materialized std::unordered_sets, so the whole index
+// costs a few dozen bytes per triple instead of hundreds.
 
 #ifndef KGC_KG_TRIPLE_STORE_H_
 #define KGC_KG_TRIPLE_STORE_H_
@@ -172,19 +173,11 @@ class TripleStore {
   bool Contains(const Triple& triple) const {
     return Contains(triple.head, triple.relation, triple.tail);
   }
-  /// Same probe over an already-packed PackTriple key (scalar counterpart
-  /// of ContainsBatch, for callers that build keys once).
+  /// Same probe over an already-packed PackTriple key, for callers that
+  /// build keys once.
   bool ContainsPacked(uint64_t packed_triple) const {
     return existence_.Contains(packed_triple);
   }
-
-  /// Batched existence probes over PackTriple keys, software-prefetched so
-  /// independent probes overlap their cache misses (the filtered top-K
-  /// sweep's hot path). If `found` is non-null it receives one 0/1 byte per
-  /// key. Returns the hit count and feeds the kgc.store.probe_batch_*
-  /// counters.
-  size_t ContainsBatch(std::span<const uint64_t> packed_triples,
-                       uint8_t* found = nullptr) const;
 
   /// Set of subject-object pairs T_r = {(h,t) | r(h,t)} of a relation,
   /// packed with PackPair.

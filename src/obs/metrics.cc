@@ -82,13 +82,12 @@ Registry::Registry() {
         kCacheRankHits, kCacheRankMisses, kCacheQuarantined,
         kCacheRegenerated, kCacheStoreUnusable, kFaultsInjected,
         kDeadlineExpired, kIngestRejectedFiles, kIngestRejectedLines,
-        kStoreProbeBatchHits, kStoreProbeBatchMisses,
         kSnapshotPublished, kSnapshotRollbacks, kSnapshotRecoveries,
         kSnapshotOrphansSwept, kSnapshotBatchesIngested,
         kSnapshotBatchesQuarantined, kSnapshotDeltaTriples,
         kSnapshotColdStarts, kSnapshotReaderSwaps, kSnapshotRepinRetries,
         kServeRequests, kServeRepliesOk, kServeShed, kServeDeadlineExceeded,
-        kServeMalformed, kServeDegraded, kServeSlowClientDrops,
+        kServeMalformed, kServeSlowClientDrops,
         kServeConnsAccepted, kServeConnsRejected, kServeDrained}) {
     counters_.emplace(name, std::make_unique<Counter>());
   }

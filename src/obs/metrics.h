@@ -195,14 +195,9 @@ inline constexpr char kFaultsInjected[] = "kgc.faults.injected";
 inline constexpr char kDeadlineExpired[] = "kgc.deadline.expired";
 inline constexpr char kIngestRejectedFiles[] = "kgc.ingest.rejected_files";
 inline constexpr char kIngestRejectedLines[] = "kgc.ingest.rejected_lines";
-// Storage substrate (kg/triple_store): index footprint and the batched
-// membership-probe traffic of the filtered top-K sweep and relation
-// prediction.
+// Storage substrate (kg/triple_store): index footprint.
 inline constexpr char kStoreBytesPerTriple[] = "kgc.store.bytes_per_triple";
 inline constexpr char kStorePeakRssBytes[] = "kgc.store.peak_rss_bytes";
-inline constexpr char kStoreProbeBatchHits[] = "kgc.store.probe_batch_hits";
-inline constexpr char kStoreProbeBatchMisses[] =
-    "kgc.store.probe_batch_misses";
 // Snapshot lifecycle (src/snapshot): generation rotation and live readers.
 inline constexpr char kSnapshotPublished[] =
     "kgc.snapshot.generations_published";
@@ -223,15 +218,14 @@ inline constexpr char kSnapshotReaderSwapSeconds[] =
 /// Transient CURRENT-read/load failures absorbed by SnapshotReader::Repin's
 /// bounded-backoff retry loop (a racing rotation, mid-replace pointer).
 inline constexpr char kSnapshotRepinRetries[] = "kgc.snapshot.repin_retries";
-// Online serving (src/serve): admission control, deadlines and degradation
-// of the kgc_serve request path (see EXPERIMENTS.md for per-metric docs).
+// Online serving (src/serve): admission control and deadlines of the
+// kgc_serve request path (see EXPERIMENTS.md for per-metric docs).
 inline constexpr char kServeRequests[] = "kgc.serve.requests";
 inline constexpr char kServeRepliesOk[] = "kgc.serve.replies_ok";
 inline constexpr char kServeShed[] = "kgc.serve.shed";
 inline constexpr char kServeDeadlineExceeded[] =
     "kgc.serve.deadline_exceeded";
 inline constexpr char kServeMalformed[] = "kgc.serve.malformed";
-inline constexpr char kServeDegraded[] = "kgc.serve.degraded";
 inline constexpr char kServeSlowClientDrops[] =
     "kgc.serve.slow_client_drops";
 inline constexpr char kServeConnsAccepted[] =

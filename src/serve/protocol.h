@@ -21,8 +21,8 @@
 //
 //   u8  version
 //   u8  status  (ReplyStatus)
-//   u8  flags   (bit 0: kReplyFlagDegraded — answered by the oracle sweep,
-//               not the top-K fast path)
+//   u8  flags   (bit 0: kReplyFlagDegraded — reserved; the server, whose
+//               top-K has one path, never sets it)
 //   u64 id
 //   i64 generation   snapshot generation that answered (-1 when none)
 //   -- kOk + kTopK:     u32 n, then n x { u32 entity, u32 score_bits }

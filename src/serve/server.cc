@@ -23,8 +23,8 @@ namespace kgc::serve {
 namespace {
 
 // KGC_SERVE_* values parse strictly: anything but a whole in-range value
-// keeps the default with one warning, as KGC_KERNEL does, so a typo can
-// neither zero a limit nor flip a switch.
+// keeps the default with one warning, as KGC_KERNEL does, so a typo cannot
+// zero a limit.
 int EnvInt(const char* name, int fallback, int min) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
@@ -36,22 +36,6 @@ int EnvInt(const char* name, int fallback, int min) {
                "[kgc] ignoring %s=\"%s\" (expected an integer >= %d); "
                "using %d\n",
                name, value, min, fallback);
-  return fallback;
-}
-
-bool EnvBool(const char* name, bool fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  if (std::strcmp(value, "1") == 0 || std::strcmp(value, "true") == 0) {
-    return true;
-  }
-  if (std::strcmp(value, "0") == 0 || std::strcmp(value, "false") == 0) {
-    return false;
-  }
-  std::fprintf(stderr,
-               "[kgc] ignoring %s=\"%s\" (expected 0, 1, true or false); "
-               "using %s\n",
-               name, value, fallback ? "true" : "false");
   return fallback;
 }
 
@@ -104,8 +88,6 @@ ServeOptions ServeOptions::FromEnv() {
   options.write_timeout_ms =
       EnvInt("KGC_SERVE_WRITE_TIMEOUT_MS", options.write_timeout_ms, 1);
   options.max_k = EnvInt("KGC_SERVE_MAX_K", options.max_k, 1);
-  options.force_oracle =
-      EnvBool("KGC_SERVE_FORCE_ORACLE", options.force_oracle);
   return options;
 }
 
@@ -216,14 +198,12 @@ void Server::FinishRequest(const PendingRequest& pending,
   static obs::Counter& deadline =
       registry.GetCounter(obs::kServeDeadlineExceeded);
   static obs::Counter& malformed = registry.GetCounter(obs::kServeMalformed);
-  static obs::Counter& degraded = registry.GetCounter(obs::kServeDegraded);
   static obs::Counter& drained = registry.GetCounter(obs::kServeDrained);
   static obs::HdrHistogram& latency =
       registry.GetDurationHistogram(obs::kServeRequestSeconds);
   switch (reply.status) {
     case ReplyStatus::kOk:
       ok.Increment();
-      if (reply.flags & kReplyFlagDegraded) degraded.Increment();
       break;
     case ReplyStatus::kDeadlineExceeded:
       deadline.Increment();
@@ -448,23 +428,13 @@ void Server::ServeBatch(std::vector<PendingRequest>& batch) {
     TopKOptions topt;
     topt.k = static_cast<int>(std::max<uint32_t>(max_k_needed, 1));
     topt.threads = 1;  // the blocked sweep is the batching; keep it exact
-    const TripleStore& filter = gen->dataset.all_store();
-    std::vector<TopKResult> results;
-    if (options_.force_oracle) {
-      results.reserve(queries.size());
-      for (const TopKQuery& query : queries) {
-        results.push_back(
-            TopKEngine::OracleTopK(model, query, topt.k, &filter));
-      }
-    } else {
-      TopKEngine engine(model, topt);
-      results = engine.Run(queries, &filter);
-    }
+    const TopKEngine engine(model, topt);
+    const std::vector<TopKResult> results =
+        engine.Run(queries, &gen->dataset.all_store());
     for (size_t j = 0; j < topk_indices.size(); ++j) {
       const Request& request = batch[topk_indices[j]].request;
       Reply& reply = replies[topk_indices[j]];
       reply.status = ReplyStatus::kOk;
-      if (options_.force_oracle) reply.flags |= kReplyFlagDegraded;
       const std::vector<TopKEntry>& list =
           request.filtered ? results[j].filtered : results[j].raw;
       uint32_t k = std::min<uint32_t>(

@@ -15,8 +15,6 @@
 //   deadline     expired before scoring => DEADLINE_EXCEEDED, never scored
 //   malformed    bad frame => MALFORMED reply, connection closed
 //   slow client  write timeout => drop + close (kgc.serve.slow_client_drops)
-//   degradation  KGC_SERVE_FORCE_ORACLE=1 => oracle sweep, reply flagged
-//                degraded; bit-identical
 //   rotation     Repin between batches; replies carry the generation
 //   SIGTERM      Shutdown(): stop accepting, drain the queue, answer
 //                everything queued, then exit (kgc.serve.drained_requests)
@@ -71,18 +69,17 @@ struct ServeOptions {
   int max_k = 1024;
   /// The top-K engine has no pruner; kept for kgcbench's provenance key.
   static constexpr bool prune = false;
-  /// Forces the oracle sweep — every OK top-K reply flags degraded.
-  bool force_oracle = false;
+  /// Top-K has one path; kept for kgcbench's provenance key.
+  static constexpr bool force_oracle = false;
   /// Seed for classification threshold fitting; kgc_load must use the same
   /// seed for its expected fingerprints to match.
   uint64_t classify_seed = 99;
 
   /// Defaults overlaid with KGC_SERVE_MAX_CONNECTIONS, KGC_SERVE_QUEUE,
   /// KGC_SERVE_MAX_BATCH, KGC_SERVE_LINGER_US, KGC_SERVE_DEADLINE_MS,
-  /// KGC_SERVE_WRITE_TIMEOUT_MS, KGC_SERVE_MAX_K, KGC_SERVE_FORCE_ORACLE.
-  /// Integers must be whole decimal values, at least 0 for the linger and
-  /// at least 1 for the rest; booleans are 0, 1, true or false. A bad value
-  /// warns on stderr and keeps the default.
+  /// KGC_SERVE_WRITE_TIMEOUT_MS and KGC_SERVE_MAX_K. Each must be a whole
+  /// decimal value, at least 0 for the linger and at least 1 for the rest.
+  /// A bad value warns on stderr and keeps the default.
   static ServeOptions FromEnv();
 };
 

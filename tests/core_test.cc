@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
+#include <string>
+#include <utility>
 
 #include "core/audit.h"
 #include "core/experiment_context.h"
@@ -186,6 +190,42 @@ TEST(ScaledTrainOptionsTest, EpochScaleApplies) {
   const TrainOptions defaults = DefaultTrainOptions(ModelType::kTransE);
   EXPECT_EQ(scaled.epochs, defaults.epochs / 2);
   std::filesystem::remove_all(options.cache_dir);
+}
+
+TEST(ExperimentOptionsTest, FromEnvParsesEpochScaleStrictly) {
+  // Sets KGC_EPOCH_SCALE (unset when null), parses, and returns the scale
+  // plus the number of warning lines FromEnv printed.
+  const auto parse = [](const char* value) {
+    if (value != nullptr) {
+      ::setenv("KGC_EPOCH_SCALE", value, 1);
+    } else {
+      ::unsetenv("KGC_EPOCH_SCALE");
+    }
+    ::testing::internal::CaptureStderr();
+    const ExperimentOptions options = ExperimentOptions::FromEnv();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    ::unsetenv("KGC_EPOCH_SCALE");
+    return std::make_pair(
+        options.epoch_scale,
+        static_cast<int>(std::count(err.begin(), err.end(), '\n')));
+  };
+  {
+    const auto [scale, warnings] = parse(nullptr);
+    EXPECT_EQ(scale, 1.0);
+    EXPECT_EQ(warnings, 0);
+  }
+  {
+    const auto [scale, warnings] = parse("0.01");
+    EXPECT_EQ(scale, 0.01);
+    EXPECT_EQ(warnings, 0);
+  }
+  // atof used to read each of these as a scale <= 0 (or a partial number),
+  // which silently trained every model for one epoch.
+  for (const char* value : {"abc", "0", "-1", "0.5x", "nan", "inf"}) {
+    const auto [scale, warnings] = parse(value);
+    EXPECT_EQ(scale, 1.0) << value;
+    EXPECT_EQ(warnings, 1) << value;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Tests for the open-addressing flat membership set behind TripleStore's
-// existence and linked-pair indexes: randomized agreement with a
-// std::unordered_set oracle, batch-vs-scalar probe identity, and growth
-// without tombstones or lost keys.
+// existence index: randomized agreement with a std::unordered_set oracle,
+// and growth without tombstones or lost keys.
 
 #include "kg/flat_set.h"
 
@@ -21,11 +20,6 @@ TEST(FlatSetTest, EmptySetContainsNothing) {
   EXPECT_EQ(set.size(), 0u);
   EXPECT_FALSE(set.Contains(0));
   EXPECT_FALSE(set.Contains(0xdeadbeefULL));
-
-  const std::vector<uint64_t> keys = {1, 2, 3};
-  std::vector<uint8_t> found(keys.size(), 0xff);
-  EXPECT_EQ(set.ContainsBatch(keys, found.data()), 0u);
-  for (uint8_t f : found) EXPECT_EQ(f, 0);
 }
 
 TEST(FlatSetTest, InsertReportsNovelty) {
@@ -58,37 +52,6 @@ TEST(FlatSetTest, RandomizedAgreesWithUnorderedSetOracle) {
     const uint64_t key = (probe % 3 == 0) ? rng.Uniform(512) : rng.Next();
     EXPECT_EQ(set.Contains(key), oracle.count(key) > 0) << key;
   }
-}
-
-TEST(FlatSetTest, BatchProbeMatchesScalarProbe) {
-  Rng rng(0xba7c4ULL);
-  FlatSet set;
-  for (int i = 0; i < 5000; ++i) set.Insert(rng.Uniform(10000));
-
-  // All batch sizes around the prefetch pipeline depth (16), including the
-  // short-batch path that never fills the ring.
-  for (size_t batch : {size_t{1}, size_t{2}, size_t{15}, size_t{16},
-                       size_t{17}, size_t{100}, size_t{4096}}) {
-    std::vector<uint64_t> keys(batch);
-    for (auto& key : keys) key = rng.Uniform(12000);
-    std::vector<uint8_t> found(batch, 0xff);
-    const size_t hits = set.ContainsBatch(keys, found.data());
-    size_t scalar_hits = 0;
-    for (size_t i = 0; i < batch; ++i) {
-      const bool expect = set.Contains(keys[i]);
-      EXPECT_EQ(found[i] != 0, expect) << "batch=" << batch << " i=" << i;
-      scalar_hits += expect ? 1 : 0;
-    }
-    EXPECT_EQ(hits, scalar_hits) << "batch=" << batch;
-  }
-}
-
-TEST(FlatSetTest, ContainsBatchWithoutOutputArrayCountsHits) {
-  FlatSet set;
-  for (uint64_t k = 0; k < 100; k += 2) set.Insert(k);
-  std::vector<uint64_t> keys;
-  for (uint64_t k = 0; k < 100; ++k) keys.push_back(k);
-  EXPECT_EQ(set.ContainsBatch(keys, nullptr), 50u);
 }
 
 TEST(FlatSetTest, GrowthKeepsEveryKeyAndStaysTombstoneFree) {
@@ -128,8 +91,7 @@ TEST(FlatSetTest, AdversarialKeysCollidingInLowBits) {
   std::vector<uint64_t> keys;
   for (uint64_t i = 0; i < 4096; ++i) keys.push_back(i << 48);
   for (uint64_t key : keys) ASSERT_TRUE(set.Insert(key));
-  std::vector<uint8_t> found(keys.size());
-  EXPECT_EQ(set.ContainsBatch(keys, found.data()), keys.size());
+  for (uint64_t key : keys) EXPECT_TRUE(set.Contains(key)) << key;
   EXPECT_FALSE(set.Contains(uint64_t{4096} << 48));
 }
 
@@ -146,16 +108,10 @@ TEST(FlatSetTest, KeyHashingToEmptySentinelIsHandled) {
   EXPECT_FALSE(set.Contains(zero_hash_key + 1));
   EXPECT_EQ(set.size(), 1u);
 
-  const uint64_t keys[2] = {zero_hash_key, zero_hash_key + 1};
-  uint8_t found[2] = {9, 9};
-  EXPECT_EQ(set.ContainsBatch(keys, found), 1u);
-  EXPECT_EQ(found[0], 1);
-  EXPECT_EQ(found[1], 0);
-
   // Still correct once a real table exists around it.
   for (uint64_t k = 0; k < 100; ++k) set.Insert(k);
   EXPECT_TRUE(set.Contains(zero_hash_key));
-  EXPECT_EQ(set.ContainsBatch(keys, found), 1u);
+  EXPECT_FALSE(set.Contains(zero_hash_key + 1));
   EXPECT_EQ(set.size(), 101u);
 }
 

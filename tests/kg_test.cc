@@ -131,25 +131,6 @@ TEST_F(TripleStoreTest, DuplicateTriplesKeptInAdjacencyOnceInSets) {
   EXPECT_TRUE(store.Contains(0, 0, 1));
 }
 
-TEST_F(TripleStoreTest, ContainsBatchMatchesScalarContains) {
-  std::vector<uint64_t> keys;
-  std::vector<bool> expected;
-  for (EntityId h = 0; h < 4; ++h) {
-    for (RelationId r = 0; r < 2; ++r) {
-      for (EntityId t = 0; t < 4; ++t) {
-        keys.push_back(PackTriple(h, r, t));
-        expected.push_back(store_.Contains(h, r, t));
-      }
-    }
-  }
-  std::vector<uint8_t> found(keys.size(), 0xff);
-  const size_t hits = store_.ContainsBatch(keys, found.data());
-  EXPECT_EQ(hits, 4u);  // the four stored triples
-  for (size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(found[i] != 0, expected[i]) << i;
-  }
-}
-
 TEST_F(TripleStoreTest, ViewIterationMatchesSetSemantics) {
   // Subjects/Objects iterate ascending entity ids.
   std::vector<EntityId> subjects(store_.Subjects(0).begin(),

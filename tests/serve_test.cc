@@ -2,8 +2,7 @@
 // the malformed-input corpus (typed error or clean close, never a crash),
 // end-to-end bit-identity of served top-K / classification replies against
 // locally recomputed results, admission-control shedding, typed deadline
-// replies, degraded oracle fallback, drain-on-shutdown, and rotation pickup
-// mid-serve.
+// replies, drain-on-shutdown, and rotation pickup mid-serve.
 //
 // The server runs in-process (it is a library; kgc_serve is a thin main),
 // so FaultInjector sites arm directly and the tests are fast enough for
@@ -174,7 +173,7 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
       "KGC_SERVE_MAX_CONNECTIONS", "KGC_SERVE_QUEUE",
       "KGC_SERVE_MAX_BATCH",       "KGC_SERVE_LINGER_US",
       "KGC_SERVE_DEADLINE_MS",     "KGC_SERVE_WRITE_TIMEOUT_MS",
-      "KGC_SERVE_MAX_K",           "KGC_SERVE_FORCE_ORACLE"};
+      "KGC_SERVE_MAX_K"};
   const auto unset_all = [&] {
     for (const char* name : kVars) ::unsetenv(name);
   };
@@ -205,7 +204,6 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
     EXPECT_EQ(options.default_deadline_ms, defaults.default_deadline_ms);
     EXPECT_EQ(options.write_timeout_ms, defaults.write_timeout_ms);
     EXPECT_EQ(options.max_k, defaults.max_k);
-    EXPECT_FALSE(options.force_oracle);
   }
   {
     const auto [options, warnings] = parse({{"KGC_SERVE_MAX_CONNECTIONS", "3"},
@@ -214,8 +212,7 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
                                             {"KGC_SERVE_LINGER_US", "500"},
                                             {"KGC_SERVE_DEADLINE_MS", "250"},
                                             {"KGC_SERVE_WRITE_TIMEOUT_MS", "1"},
-                                            {"KGC_SERVE_MAX_K", "10"},
-                                            {"KGC_SERVE_FORCE_ORACLE", "true"}});
+                                            {"KGC_SERVE_MAX_K", "10"}});
     EXPECT_EQ(warnings, 0);
     EXPECT_EQ(options.max_connections, 3);
     EXPECT_EQ(options.queue_capacity, 2);
@@ -224,7 +221,6 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
     EXPECT_EQ(options.default_deadline_ms, 250);
     EXPECT_EQ(options.write_timeout_ms, 1);
     EXPECT_EQ(options.max_k, 10);
-    EXPECT_TRUE(options.force_oracle);
   }
   {
     // The boundaries themselves are accepted.
@@ -234,27 +230,18 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
     EXPECT_EQ(options.linger_us, 0);
     EXPECT_EQ(options.max_batch, 1);
   }
-  for (const char* value : {"1", "true", "0", "false"}) {
-    // Every boolean spelling, on and off, without a warning.
-    const auto [options, warnings] =
-        parse({{"KGC_SERVE_FORCE_ORACLE", value}});
-    EXPECT_EQ(warnings, 0) << value;
-    EXPECT_EQ(options.force_oracle, value[0] == '1' || value[0] == 't')
-        << value;
-  }
   {
-    // "off" used to read as true; "abc" used to read as 0 connections.
-    // Every bad value keeps its default and warns once.
+    // "abc" used to read as 0 connections. Every bad value keeps its
+    // default and warns once.
     const auto [options, warnings] =
-        parse({{"KGC_SERVE_FORCE_ORACLE", "off"},
-               {"KGC_SERVE_MAX_CONNECTIONS", "abc"},
+        parse({{"KGC_SERVE_MAX_CONNECTIONS", "abc"},
                {"KGC_SERVE_QUEUE", "0"},
                {"KGC_SERVE_MAX_BATCH", "-4"},
                {"KGC_SERVE_LINGER_US", "-1"},
                {"KGC_SERVE_DEADLINE_MS", "12ms"},
                {"KGC_SERVE_WRITE_TIMEOUT_MS", " 5"},
                {"KGC_SERVE_MAX_K", "99999999999"}});
-    EXPECT_EQ(warnings, 8);
+    EXPECT_EQ(warnings, 7);
     EXPECT_EQ(options.max_connections, defaults.max_connections);
     EXPECT_EQ(options.queue_capacity, defaults.queue_capacity);
     EXPECT_EQ(options.max_batch, defaults.max_batch);
@@ -262,7 +249,6 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
     EXPECT_EQ(options.default_deadline_ms, defaults.default_deadline_ms);
     EXPECT_EQ(options.write_timeout_ms, defaults.write_timeout_ms);
     EXPECT_EQ(options.max_k, defaults.max_k);
-    EXPECT_EQ(options.force_oracle, defaults.force_oracle);
   }
   {
     // A set-but-empty variable means unset, silently.
@@ -570,49 +556,6 @@ TEST_F(ServeTest, ExpiredDeadlinesGetTypedRepliesWithoutScoring) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->status, ReplyStatus::kDeadlineExceeded);
   EXPECT_EQ(reply->id, 7u);
-  ::close(fd);
-}
-
-TEST_F(ServeTest, OracleFallbackIsBitIdenticalAndFlagged) {
-  BootstrapRegistry();
-  const uint64_t degraded_before =
-      obs::Registry::Get().GetCounter(obs::kServeDegraded).value();
-
-  Request request;
-  request.type = RequestType::kTopK;
-  request.id = 11;
-  request.tails = true;
-  request.filtered = true;
-  request.relation = 1;
-  request.anchor = 2;
-  request.k = 4;
-
-  // Fast path first.
-  StartServer();
-  int fd = MustConnect();
-  auto fast = Call(fd, request);
-  ASSERT_TRUE(fast.ok()) << fast.status().ToString();
-  ASSERT_EQ(fast->status, ReplyStatus::kOk);
-  EXPECT_EQ(fast->flags & serve::kReplyFlagDegraded, 0);
-  ::close(fd);
-  server_.reset();
-
-  // Forced oracle: flagged degraded, same bytes.
-  ServeOptions options;
-  options.force_oracle = true;
-  StartServer(options);
-  fd = MustConnect();
-  auto oracle = Call(fd, request);
-  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-  ASSERT_EQ(oracle->status, ReplyStatus::kOk);
-  EXPECT_NE(oracle->flags & serve::kReplyFlagDegraded, 0);
-  ASSERT_EQ(oracle->entries.size(), fast->entries.size());
-  for (size_t i = 0; i < fast->entries.size(); ++i) {
-    EXPECT_EQ(oracle->entries[i].entity, fast->entries[i].entity);
-    EXPECT_EQ(oracle->entries[i].score, fast->entries[i].score);
-  }
-  EXPECT_GT(obs::Registry::Get().GetCounter(obs::kServeDegraded).value(),
-            degraded_before);
   ::close(fd);
 }
 

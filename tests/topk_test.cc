@@ -1,5 +1,6 @@
 // Tests for the top-K retrieval engine (eval/topk.h): oracle agreement
-// across all ten models, K values, thread counts and filtered/unfiltered;
+// across all ten models, K values, thread counts and filtered/unfiltered,
+// with a filter that drops known facts from every query's list;
 // counter determinism across thread counts; kernel-path invariance; and
 // all-tied scores, which only the entity-id tie-break orders.
 
@@ -11,6 +12,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "models/embedding.h"
@@ -48,16 +50,22 @@ std::vector<TopKQuery> MakeQueries() {
   return queries;
 }
 
-// A filter store with deterministic contents so the filtered lists differ
-// from the raw ones.
-TripleStore MakeFilter() {
-  TripleList triples;
-  for (int i = 0; i < 600; ++i) {
-    triples.push_back(Triple{static_cast<EntityId>((i * 17) % kEntities),
-                             static_cast<RelationId>(i % kRelations),
-                             static_cast<EntityId>((i * 5 + 2) % kEntities)});
+// A filter store built from the model's own raw lists: every query's raw
+// ranks 1 and 3 are known facts, so every filtered list differs from its
+// raw list. One fact is stored twice, as real datasets hold duplicates.
+TripleStore MakeFilter(const LinkPredictor& model,
+                       const std::vector<TopKQuery>& queries) {
+  TripleList known;
+  for (const TopKQuery& q : queries) {
+    const TopKResult oracle = TopKEngine::OracleTopK(model, q, 3, nullptr);
+    for (size_t rank : {size_t{0}, size_t{2}}) {
+      const EntityId e = oracle.raw[rank].entity;
+      known.push_back(q.tails ? Triple{q.anchor, q.relation, e}
+                              : Triple{e, q.relation, q.anchor});
+    }
   }
-  return TripleStore(triples, kEntities, kRelations);
+  known.push_back(known.front());
+  return TripleStore(std::move(known), kEntities, kRelations);
 }
 
 uint32_t Bits(float f) { return std::bit_cast<uint32_t>(f); }
@@ -91,7 +99,7 @@ TEST_P(TopKModelTest, MatchesOracleBitForBit) {
   const auto model = CreateModel(GetParam(), kEntities, kRelations,
                                  SmallParams(GetParam()));
   const auto queries = MakeQueries();
-  const TripleStore filter = MakeFilter();
+  const TripleStore filter = MakeFilter(*model, queries);
   for (int k : {1, 10, 100}) {
     for (const TripleStore* f : {static_cast<const TripleStore*>(nullptr),
                                  &filter}) {
@@ -111,6 +119,11 @@ TEST_P(TopKModelTest, MatchesOracleBitForBit) {
                      << " filtered=" << (f != nullptr) << " query " << i);
         ExpectEntriesEqual(results[i].raw, oracle.raw, "raw");
         ExpectEntriesEqual(results[i].filtered, oracle.filtered, "filtered");
+        if (f != nullptr) {
+          // Raw rank 1 is a known fact, so the filter must have dropped it.
+          EXPECT_NE(results[i].filtered.front().entity,
+                    results[i].raw.front().entity);
+        }
       }
     }
   }
@@ -122,7 +135,7 @@ TEST_P(TopKModelTest, ThreadCountInvariance) {
   const auto model = CreateModel(GetParam(), kEntities, kRelations,
                                  SmallParams(GetParam()));
   const auto queries = MakeQueries();
-  const TripleStore filter = MakeFilter();
+  const TripleStore filter = MakeFilter(*model, queries);
 
   const auto counters = [] {
     std::vector<uint64_t> values;
@@ -164,7 +177,7 @@ TEST_P(TopKModelTest, KernelPathInvariance) {
   const auto model = CreateModel(GetParam(), kEntities, kRelations,
                                  SmallParams(GetParam()));
   const auto queries = MakeQueries();
-  const TripleStore filter = MakeFilter();
+  const TripleStore filter = MakeFilter(*model, queries);
   TopKOptions options;
   options.threads = 1;
   options.tile_rows = 32;
@@ -186,7 +199,7 @@ TEST_P(TopKModelTest, CrossCheckModePasses) {
   const auto model = CreateModel(GetParam(), kEntities, kRelations,
                                  SmallParams(GetParam()));
   const auto queries = MakeQueries();
-  const TripleStore filter = MakeFilter();
+  const TripleStore filter = MakeFilter(*model, queries);
   TopKOptions options;
   options.cross_check = true;
   options.tile_rows = 32;

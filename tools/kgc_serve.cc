@@ -4,8 +4,8 @@
 // length-prefixed Unix-socket protocol (src/serve/protocol.h), reading
 // model state from a snapshot registry through a refcounted SnapshotReader
 // pin that hops generations between batches. Robustness semantics
-// (admission control, per-request deadlines, slow-client drops, degraded
-// oracle fallback, SIGTERM drain) live in src/serve/server.h.
+// (admission control, per-request deadlines, slow-client drops, SIGTERM
+// drain) live in src/serve/server.h.
 //
 // An empty registry can be bootstrapped in-process from a deterministic
 // synthetic dataset (--bootstrap=scale:N or --bootstrap=tiny): the dataset
