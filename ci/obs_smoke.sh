@@ -12,7 +12,7 @@
 #     record) plus a Prometheus-style exposition file, and the final
 #     cumulative counters must be bit-identical across KGC_THREADS
 #   - the 9-model Table 5 path must write the same .ranks bytes at any
-#     KGC_THREADS
+#     KGC_THREADS, and the same .kgcm bytes with KGC_KERNEL=generic
 #   - no library function may be called only by tests, unless
 #     ci/test_only_symbols.sh allowlists it with a reason
 #
@@ -200,5 +200,26 @@ for threads in 1 4; do
   fi
 done
 echo "rank tables OK: ${tables} tables byte-identical at KGC_THREADS=1/4"
+
+echo "== Table 5 models: same bytes on the generic kernel path =="
+# The golden CRC test trains tiny dim-8 models. Retrain the same 18 Table 5
+# models, at their full size, with the generic kernels into a fresh cache:
+# every model file must equal the default (native) path's byte for byte.
+T5_GENERIC="${WORK_DIR}/table5-generic"
+KGC_KERNEL=generic KGC_EPOCH_SCALE=0.01 KGC_CACHE_DIR="${T5_GENERIC}" \
+  "${TABLE5}" > /dev/null
+model_sums() { (cd "$1" && sha256sum -- *.kgcm); }
+native_models="$(model_sums "${T5_CACHE}")"
+models="$(wc -l <<< "${native_models}")"
+if [[ "${models}" -ne 18 ]]; then
+  echo "ERROR: expected 18 Table 5 models, found ${models}" >&2
+  exit 1
+fi
+if [[ "$(model_sums "${T5_GENERIC}")" != "${native_models}" ]]; then
+  echo "ERROR: Table 5 models differ between the kernel paths" >&2
+  diff <(echo "${native_models}") <(model_sums "${T5_GENERIC}") >&2 || true
+  exit 1
+fi
+echo "models OK: ${models} models byte-identical on the generic path"
 
 echo "== obs smoke test passed =="

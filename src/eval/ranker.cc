@@ -1,6 +1,7 @@
 #include "eval/ranker.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <string>
 
@@ -19,23 +20,37 @@ namespace {
 // above and equal to the true entity; the walk of the known-correct list
 // then counts the known facts among them. A candidate listed twice is
 // counted twice, so a fact the filter store holds twice is filtered twice.
+// A NaN true score compares false with everything, itself included, so it
+// takes its own branch: the true entity ranks after every non-NaN
+// candidate, tied with the other NaN ones.
 void ComputeRank(std::span<const float> scores, EntityId true_entity,
                  std::span<const EntityId> known_correct, double* raw,
                  double* filtered) {
   const float s_true = scores[static_cast<size_t>(true_entity)];
   size_t greater = 0;
   size_t equal = 0;
-  for (const float s : scores) {
-    greater += s > s_true ? 1 : 0;
-    equal += s == s_true ? 1 : 0;
-  }
   size_t greater_known = 0;
   size_t equal_known = 0;
-  for (EntityId e : known_correct) {
-    if (e == true_entity) continue;
-    const float s = scores[static_cast<size_t>(e)];
-    greater_known += s > s_true ? 1 : 0;
-    equal_known += s == s_true ? 1 : 0;
+  if (std::isnan(s_true)) {
+    for (const float s : scores) equal += std::isnan(s) ? 1 : 0;
+    greater = scores.size() - equal;
+    for (EntityId e : known_correct) {
+      if (e == true_entity) continue;
+      const bool nan = std::isnan(scores[static_cast<size_t>(e)]);
+      greater_known += nan ? 0 : 1;
+      equal_known += nan ? 1 : 0;
+    }
+  } else {
+    for (const float s : scores) {
+      greater += s > s_true ? 1 : 0;
+      equal += s == s_true ? 1 : 0;
+    }
+    for (EntityId e : known_correct) {
+      if (e == true_entity) continue;
+      const float s = scores[static_cast<size_t>(e)];
+      greater_known += s > s_true ? 1 : 0;
+      equal_known += s == s_true ? 1 : 0;
+    }
   }
   KGC_DCHECK(equal >= 1);  // the true entity itself
   equal -= 1;

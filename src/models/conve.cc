@@ -45,10 +45,11 @@ ConvE::ConvE(int32_t num_entities, int32_t num_relations,
   }
 }
 
-ConvE::Forward ConvE::RunForward(EntityId e, int32_t relation_row) const {
+ConvE::Forward ConvE::RunForward(EntityId e, int32_t relation_row,
+                                 int slot) const {
   const size_t dim = static_cast<size_t>(params_.dim);
   const size_t feat = static_cast<size_t>(feat_size_);
-  const auto buf = vec::GetScratch(3 * dim + 2 * feat, 1);
+  const auto buf = vec::GetScratch(3 * dim + 2 * feat, slot);
   const Forward fwd{buf.subspan(0, 2 * dim), buf.subspan(2 * dim, feat),
                     buf.subspan(2 * dim + feat, feat),
                     buf.subspan(2 * dim + 2 * feat, dim)};
@@ -85,17 +86,12 @@ ConvE::Forward ConvE::RunForward(EntityId e, int32_t relation_row) const {
   return fwd;
 }
 
-double ConvE::Score(EntityId h, RelationId r, EntityId t) const {
-  // The training score sums both reciprocal forms so that the gradient the
-  // trainer derives from it is exactly what ApplyGradient applies (one Step
-  // per form). Scoring only the forward form would leave the reciprocal
-  // side without feedback and let it drift unboundedly through the shared
-  // parameters.
+double ConvE::SumForms(const Forward& fwd, EntityId h, RelationId r,
+                       EntityId t) const {
   const size_t dim = static_cast<size_t>(params_.dim);
   const auto& ops = vec::Ops();
   float dot = 0.0f;
-  ops.dot_rows(RunForward(h, r).z.data(), entities_.Row(t).data(), 1, dim,
-               dim, &dot);
+  ops.dot_rows(fwd.z.data(), entities_.Row(t).data(), 1, dim, dim, &dot);
   double score = static_cast<double>(dot) + entity_bias_.Row(t)[0];
   ops.dot_rows(RunForward(t, num_relations_ + r).z.data(),
                entities_.Row(h).data(), 1, dim, dim, &dot);
@@ -103,9 +99,17 @@ double ConvE::Score(EntityId h, RelationId r, EntityId t) const {
   return score;
 }
 
+double ConvE::Score(EntityId h, RelationId r, EntityId t) const {
+  // The training score sums both reciprocal forms so that the gradient the
+  // trainer derives from it is exactly what ApplyGradient applies (one Step
+  // per form). Scoring only the forward form would leave the reciprocal
+  // side without feedback and let it drift unboundedly through the shared
+  // parameters.
+  return SumForms(RunForward(h, r), h, r, t);
+}
+
 void ConvE::Step(EntityId e_in, int32_t relation_row, EntityId e_out, float g,
-                 float lr) {
-  const Forward fwd = RunForward(e_in, relation_row);
+                 float lr, const Forward& fwd) {
   const size_t dim = static_cast<size_t>(params_.dim);
   const size_t feat = static_cast<size_t>(feat_size_);
   const float decay = static_cast<float>(params_.l2_reg);
@@ -127,37 +131,16 @@ void ConvE::Step(EntityId e_in, int32_t relation_row, EntityId e_out, float g,
   fc_.UpdateDense(0, fwd.feat, gz, decay, lr, gfeat);
   fc_bias_.UpdateRow(0, gz, lr);
 
-  // Conv layer. Positions step one after another: each reads the kernel
-  // the previous position just updated.
+  // Conv layer, in one kernel call: positions step one after another, each
+  // reading the filter the previous position just updated.
   std::fill(ginput.begin(), ginput.end(), 0.0f);
-  const size_t plane = static_cast<size_t>(out_h_ * out_w_);
-  for (int32_t f = 0; f < kFilters; ++f) {
-    const auto kernel = kernels_.Row(f);
-    float gbias = 0.0f;
-    for (int32_t oy = 0; oy < out_h_; ++oy) {
-      for (int32_t ox = 0; ox < out_w_; ++ox) {
-        const size_t idx = static_cast<size_t>(f) * plane +
-                           static_cast<size_t>(oy * out_w_ + ox);
-        if (fwd.pre[idx] <= 0) continue;
-        const float gpre = gfeat[idx];
-        if (gpre == 0.0f) continue;
-        gbias += gpre;
-        float window[kKernel * kKernel];
-        for (int32_t ky = 0; ky < kKernel; ++ky) {
-          for (int32_t kx = 0; kx < kKernel; ++kx) {
-            const size_t tap = static_cast<size_t>(ky * kKernel + kx);
-            const size_t in_idx =
-                static_cast<size_t>((oy + ky) * kGridWidth + ox + kx);
-            // Propagate through the pre-update kernel value.
-            ginput[in_idx] += gpre * kernel[tap];
-            window[tap] = fwd.input[in_idx];
-          }
-        }
-        kernels_.UpdateRow(f, window, lr, gpre);
-      }
-    }
-    conv_bias_.Update(0, f, gbias, lr);
-  }
+  float gbias[kFilters];
+  vec::Ops().conv2d_backward(
+      fwd.input.data(), static_cast<size_t>(2 * grid_h_), kGridWidth,
+      fwd.pre.data(), gfeat.data(), kFilters, kKernel, lr,
+      kernels_.mutable_data().data(), kernels_.adagrad_data(), gbias,
+      ginput.data());
+  for (int32_t f = 0; f < kFilters; ++f) conv_bias_.Update(0, f, gbias[f], lr);
 
   // Input grid gradients flow to the input entity (top half) and the
   // relation embedding (bottom half).
@@ -167,10 +150,28 @@ void ConvE::Step(EntityId e_in, int32_t relation_row, EntityId e_out, float g,
 
 void ConvE::ApplyGradient(const Triple& triple, float d_loss_d_score,
                           float lr) {
-  // Reciprocal training: each example trains both directions.
-  Step(triple.head, triple.relation, triple.tail, d_loss_d_score, lr);
+  // Reciprocal training: each example trains both directions. The second
+  // forward runs after the first Step, on the weights it left.
+  Step(triple.head, triple.relation, triple.tail, d_loss_d_score, lr,
+       RunForward(triple.head, triple.relation));
   Step(triple.tail, num_relations_ + triple.relation, triple.head,
-       d_loss_d_score, lr);
+       d_loss_d_score, lr,
+       RunForward(triple.tail, num_relations_ + triple.relation));
+}
+
+double ConvE::ScoreAndApplyGradient(const Triple& triple,
+                                    float (*d_loss_d_score)(double score),
+                                    float lr) {
+  // Nothing changes a weight between Score and the first Step, so Score's
+  // (head, relation) forward is the one that Step would recompute.
+  const Forward fwd =
+      RunForward(triple.head, triple.relation, kScoreForwardSlot);
+  const double score = SumForms(fwd, triple.head, triple.relation, triple.tail);
+  const float g = d_loss_d_score(score);
+  Step(triple.head, triple.relation, triple.tail, g, lr, fwd);
+  Step(triple.tail, num_relations_ + triple.relation, triple.head, g, lr,
+       RunForward(triple.tail, num_relations_ + triple.relation));
+  return score;
 }
 
 void ConvE::DescribeSweep(bool tails, RelationId r, SweepSpec* spec) const {

@@ -36,6 +36,10 @@ class ConvE final : public KgeModel {
   double Score(EntityId h, RelationId r, EntityId t) const override;
   void ApplyGradient(const Triple& triple, float d_loss_d_score,
                      float lr) override;
+  // Hands Score's (head, relation) forward to the first Step.
+  double ScoreAndApplyGradient(const Triple& triple,
+                               float (*d_loss_d_score)(double score),
+                               float lr) override;
   void DescribeSweep(bool tails, RelationId r,
                      SweepSpec* spec) const override;
   void BuildSweepQuery(bool tails, RelationId r, EntityId anchor,
@@ -49,8 +53,8 @@ class ConvE final : public KgeModel {
   static constexpr int32_t kGridWidth = 4;
 
  private:
-  // Views into this thread's scratch slot 1 (vec::GetScratch), valid until
-  // the thread next uses that slot, e.g. by the next RunForward.
+  // Views into one of this thread's scratch slots (vec::GetScratch), valid
+  // until the thread next uses that slot.
   struct Forward {
     std::span<float> input;  // (2*grid_h) x grid_w
     std::span<float> pre;    // conv pre-activations, filters x oh x ow
@@ -58,12 +62,27 @@ class ConvE final : public KgeModel {
     std::span<float> z;      // FC output (the linear head), dim
   };
 
-  // Runs the conv stack for (entity_row, relation_row) producing z.
-  Forward RunForward(EntityId e, int32_t relation_row) const;
+  // Scratch slots: RunForward writes slot 1 unless told otherwise, and Step
+  // keeps its gradients in slot 2. ScoreAndApplyGradient keeps Score's
+  // (head, relation) forward in kScoreForwardSlot, which no other ConvE
+  // code touches, so it survives the reciprocal forward and reaches the
+  // first Step intact.
+  static constexpr int kForwardSlot = 1;
+  static constexpr int kScoreForwardSlot = 3;
 
-  // One training step for score = z(e_in, rel_row) . e_out + b[e_out].
+  // Runs the conv stack for (entity_row, relation_row) producing z.
+  Forward RunForward(EntityId e, int32_t relation_row,
+                     int slot = kForwardSlot) const;
+
+  // Score from the (h, r) forward `fwd`: its form plus the reciprocal one,
+  // whose forward goes to kForwardSlot after fwd.z has been read.
+  double SumForms(const Forward& fwd, EntityId h, RelationId r,
+                  EntityId t) const;
+
+  // One training step for score = z(e_in, rel_row) . e_out + b[e_out],
+  // where `fwd` is RunForward(e_in, relation_row) on the current weights.
   void Step(EntityId e_in, int32_t relation_row, EntityId e_out, float g,
-            float lr);
+            float lr, const Forward& fwd);
 
   int32_t grid_h_;       // dim / kGridWidth
   int32_t out_h_;        // 2*grid_h - kKernel + 1

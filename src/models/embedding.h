@@ -125,6 +125,13 @@ class EmbeddingTable {
   const AlignedVector<float>& data() const { return data_; }
   AlignedVector<float>& mutable_data() { return data_; }
 
+  /// The AdaGrad accumulators, laid out like the parameters, or null when
+  /// AdaGrad is off: the `acc` argument of a kernel that steps many rows
+  /// in one call.
+  float* adagrad_data() {
+    return adagrad_.empty() ? nullptr : adagrad_.data();
+  }
+
   void Serialize(BinaryWriter& writer) const;
   Status Deserialize(BinaryReader& reader);
 

@@ -56,6 +56,14 @@ StatusOr<ModelType> ParseModelType(const std::string& name) {
   return Status::InvalidArgument("unknown model type: " + name);
 }
 
+double KgeModel::ScoreAndApplyGradient(const Triple& triple,
+                                       float (*d_loss_d_score)(double score),
+                                       float lr) {
+  const double score = Score(triple.head, triple.relation, triple.tail);
+  ApplyGradient(triple, d_loss_d_score(score), lr);
+  return score;
+}
+
 void KgeModel::ScoreTails(EntityId h, RelationId r,
                           std::span<float> out) const {
   Sweep(/*tails=*/true, r, h, out);

@@ -131,6 +131,14 @@ class KgeModel : public LinkPredictor {
   virtual void ApplyGradient(const Triple& triple, float d_loss_d_score,
                              float lr) = 0;
 
+  /// Scores the triple, then applies the step ApplyGradient would with
+  /// d_loss_d_score(score); returns the score. Same bits as Score followed
+  /// by ApplyGradient (the default); a model overrides it to reuse what
+  /// Score computed and nothing has changed since.
+  virtual double ScoreAndApplyGradient(const Triple& triple,
+                                       float (*d_loss_d_score)(double score),
+                                       float lr);
+
   /// Scores (h, r, e) for every entity e into out[e].
   /// out.size() must be num_entities().
   void ScoreTails(EntityId h, RelationId r,

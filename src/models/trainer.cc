@@ -192,6 +192,7 @@ TrainStats TrainModel(KgeModel& model, const Dataset& dataset,
   train_span.AddArgStr("model", model.name());
   train_span.AddArgStr("dataset", dataset.name().c_str());
   train_span.AddArgInt("epochs", options.epochs);
+  train_span.SetRollupLabel(std::string(model.name()) + "@" + dataset.name());
   static obs::Counter& epochs_counter =
       obs::Registry::Get().GetCounter(obs::kTrainerEpochs);
   static obs::Counter& examples_counter =
@@ -280,20 +281,18 @@ TrainStats TrainModel(KgeModel& model, const Dataset& dataset,
           }
         }
       } else {
-        const double s_pos =
-            model.Score(positive.head, positive.relation, positive.tail);
+        const double s_pos = model.ScoreAndApplyGradient(
+            positive,
+            [](double s) { return static_cast<float>(-Sigmoid(-s)); }, lr);
         epoch_loss += Softplus(-s_pos);
         ++examples;
-        model.ApplyGradient(positive, static_cast<float>(-Sigmoid(-s_pos)),
-                            lr);
         for (int n = 0; n < options.negatives; ++n) {
           const Triple negative = SampleNegative(positive, train, p, rng);
-          const double s_neg = model.Score(negative.head, negative.relation,
-                                           negative.tail);
+          const double s_neg = model.ScoreAndApplyGradient(
+              negative, [](double s) { return static_cast<float>(Sigmoid(s)); },
+              lr);
           epoch_loss += Softplus(s_neg);
           ++examples;
-          model.ApplyGradient(negative, static_cast<float>(Sigmoid(s_neg)),
-                              lr);
         }
       }
     }

@@ -56,21 +56,45 @@ void TuckER::ContractRelationTail(std::span<const float> r,
   }
 }
 
-double TuckER::Score(EntityId h, RelationId r, EntityId t) const {
-  auto u = vec::GetScratch(static_cast<size_t>(dim_e_), 0);
-  ContractHeadRelation(entities_.Row(h), relations_.Row(r), u);
+double TuckER::DotTail(std::span<const float> u, EntityId t) const {
   const size_t de = static_cast<size_t>(dim_e_);
   float score = 0.0f;
   vec::Ops().dot_rows(u.data(), entities_.Row(t).data(), 1, de, de, &score);
   return static_cast<double>(score);
 }
 
+double TuckER::Score(EntityId h, RelationId r, EntityId t) const {
+  auto u = vec::GetScratch(static_cast<size_t>(dim_e_), 0);
+  ContractHeadRelation(entities_.Row(h), relations_.Row(r), u);
+  return DotTail(u, t);
+}
+
 void TuckER::ApplyGradient(const Triple& triple, float d_loss_d_score,
                            float lr) {
+  auto u = vec::GetScratch(static_cast<size_t>(dim_e_), 0);  // dScore/dt
+  ContractHeadRelation(entities_.Row(triple.head),
+                       relations_.Row(triple.relation), u);
+  Step(triple, d_loss_d_score, lr, u);
+}
+
+double TuckER::ScoreAndApplyGradient(const Triple& triple,
+                                     float (*d_loss_d_score)(double score),
+                                     float lr) {
+  // Nothing changes a weight between the score and the step, so Score's
+  // contraction is the u the step needs.
+  auto u = vec::GetScratch(static_cast<size_t>(dim_e_), 0);
+  ContractHeadRelation(entities_.Row(triple.head),
+                       relations_.Row(triple.relation), u);
+  const double score = DotTail(u, triple.tail);
+  Step(triple, d_loss_d_score(score), lr, u);
+  return score;
+}
+
+void TuckER::Step(const Triple& triple, float g, float lr,
+                  std::span<const float> u) {
   const auto hv = entities_.Row(triple.head);
   const auto rv = relations_.Row(triple.relation);
   const auto tv = entities_.Row(triple.tail);
-  const float g = d_loss_d_score;
   const float decay = static_cast<float>(params_.l2_reg);
   const size_t de = static_cast<size_t>(dim_e_);
   const size_t dr = static_cast<size_t>(dim_r_);
@@ -81,11 +105,9 @@ void TuckER::ApplyGradient(const Triple& triple, float d_loss_d_score,
   //   inner_ab = sum_c W_abc t_c   ->  v_a = sum_b r_b inner_ab,
   //                                    q_b = sum_a h_a inner_ab,
   // and the core gradient W_abc -= lr g h_a r_b t_c is one plain-SGD kernel
-  // pass (the core never uses AdaGrad).
-  auto u = vec::GetScratch(de, 0);  // dScore/dt
+  // pass (the core never uses AdaGrad). u = dScore/dt comes in.
   auto v = vec::GetScratch(de, 2);  // dScore/dh
   auto q = vec::GetScratch(dr, 3);  // dScore/dr
-  ContractHeadRelation(hv, rv, u);
   {
     const auto& ops = vec::Ops();
     auto inner = vec::GetScratch(de * dr, 4);

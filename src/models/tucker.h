@@ -22,6 +22,10 @@ class TuckER final : public KgeModel {
   double Score(EntityId h, RelationId r, EntityId t) const override;
   void ApplyGradient(const Triple& triple, float d_loss_d_score,
                      float lr) override;
+  // Reuses Score's u = ContractHeadRelation(h, r) for the step.
+  double ScoreAndApplyGradient(const Triple& triple,
+                               float (*d_loss_d_score)(double score),
+                               float lr) override;
   void DescribeSweep(bool tails, RelationId r,
                      SweepSpec* spec) const override;
   void BuildSweepQuery(bool tails, RelationId r, EntityId anchor,
@@ -37,6 +41,11 @@ class TuckER final : public KgeModel {
   // v_a = sum_{bc} W_abc r_b t_c.
   void ContractRelationTail(std::span<const float> r, std::span<const float> t,
                             std::span<float> v) const;
+  // u . t, the score once u = ContractHeadRelation(h, r).
+  double DotTail(std::span<const float> u, EntityId t) const;
+  // The gradient step, given u = ContractHeadRelation(h, r) on the current
+  // weights (scratch slot 0).
+  void Step(const Triple& triple, float g, float lr, std::span<const float> u);
 
   int32_t dim_e_;
   int32_t dim_r_;

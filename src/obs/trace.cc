@@ -38,6 +38,13 @@ struct Rollup {
   int64_t total_ns = 0;
   int64_t min_ns = 0;
   int64_t max_ns = 0;
+
+  void Add(int64_t duration_ns) {
+    if (count == 0 || duration_ns < min_ns) min_ns = duration_ns;
+    if (count == 0 || duration_ns > max_ns) max_ns = duration_ns;
+    ++count;
+    total_ns += duration_ns;
+  }
 };
 
 struct TraceState {
@@ -294,15 +301,8 @@ TraceSpan::~TraceSpan() {
     if (state.events.size() >= state.drain_threshold) DrainLocked(state);
   }
   if ((mode & kRollupsBit) != 0) {
-    Rollup& rollup = state.rollups[name_];
-    if (rollup.count == 0 || duration_ns < rollup.min_ns) {
-      rollup.min_ns = duration_ns;
-    }
-    if (rollup.count == 0 || duration_ns > rollup.max_ns) {
-      rollup.max_ns = duration_ns;
-    }
-    ++rollup.count;
-    rollup.total_ns += duration_ns;
+    state.rollups[name_].Add(duration_ns);
+    if (!labeled_name_.empty()) state.rollups[labeled_name_].Add(duration_ns);
   }
 }
 
@@ -311,6 +311,11 @@ void TraceSpan::AddArgInt(const char* key, long long value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), ",\"%s\":%lld", key, value);
   args_ += buf;
+}
+
+void TraceSpan::SetRollupLabel(const std::string& label) {
+  if (!active_) return;
+  labeled_name_ = std::string(name_) + "/" + label;
 }
 
 void TraceSpan::AddArgStr(const char* key, const char* value) {

@@ -14,7 +14,8 @@
 //      finalized at process exit (or FlushTrace()).
 //   2. Span rollups. When rollups are enabled (implied by tracing or by
 //      `KGC_METRICS`), per-name aggregates (count, total/min/max seconds)
-//      are maintained for the run report (obs/report.h).
+//      are maintained for the run report (obs/report.h). A span given a
+//      rollup label is also aggregated under "<name>/<label>".
 //
 // When neither is enabled a span costs one relaxed atomic load — cheap
 // enough to leave in hot paths permanently. Spans are timing-domain: their
@@ -103,9 +104,15 @@ class TraceSpan {
   void AddArgInt(const char* key, long long value);
   void AddArgStr(const char* key, const char* value);
 
+  /// Also rolls the span up under "<name>/<label>", next to the plain
+  /// "<name>" rollup (e.g. "train_model/ConvE@FB15k-syn"), so a run report
+  /// splits the span by what it worked on. No-op when inactive.
+  void SetRollupLabel(const std::string& label);
+
  private:
   const char* name_ = nullptr;
   std::string args_;
+  std::string labeled_name_;  // "<name>/<label>", or empty
   uint64_t id_ = 0;
   uint64_t parent_id_ = 0;
   int depth_ = 0;

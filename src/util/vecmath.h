@@ -11,9 +11,11 @@
 // bit-identical run to run and across KGC_THREADS. Element-wise kernels
 // (axpy, scale, hadamard, row updates) have no reduction and are trivially
 // deterministic. The training kernels (outer_*, conv2d_relu,
-// dense_update_rows) keep the element order of the scalar loops they
-// replaced, including dense's sequential float sums, so trained models are
-// the same bits as well. A NaN result is NaN on every path, but its sign
+// conv2d_backward, dense_update_rows) keep the element order of the scalar
+// loops they replaced, including dense's sequential float sums (its 8 x 8
+// register transposes only move data) and the conv backward's walk, in
+// which each position reads the filter the previous one stepped, so
+// trained models are the same bits as well. A NaN result is NaN on every path, but its sign
 // and payload are not pinned: IEEE 754 leaves them open, and the compiler
 // may commute operands or fold a negation that picks them.
 //
@@ -190,10 +192,25 @@ struct KernelOps {
   /// x[i] * gy[k] + decay * w_i[k] (its pre-update value), element for
   /// element EmbeddingTable::Update's arithmetic. Unless gx is null,
   /// gx[i] = sum_k w_i[k] * gy[k] over the pre-update row, summed in float
-  /// in k order.
+  /// in k order. Full 8 x 8 tiles are read once: transposed in registers
+  /// for gx, then stepped in place.
   void (*dense_update_rows)(float* w, float* acc, const float* x,
                             const float* gy, float decay, size_t m, size_t n,
                             float lr, float* gx);
+
+  /// Backward of conv2d_relu (ConvE), stepping the filters as it goes. For
+  /// each filter f in order, and each output position in row-major order
+  /// whose pre > 0 and whose gradient g = gpre[(f, oy, ox)] != 0: every tap
+  /// (ky, kx) adds g * w_f[tap] into gin[(oy + ky) * in_w + ox + kx],
+  /// reading the filter as the previous position left it; then w_f (k * k
+  /// floats, filter-major like conv2d_relu's taps) takes the SGD
+  /// (acc == nullptr) or AdaGrad step of the gradient g * in[...], as
+  /// sgd_update_row / adagrad_update_row with gscale g. gbias[f] is the sum
+  /// of those g, in order, in float. gin is added to, not overwritten.
+  void (*conv2d_backward)(const float* in, size_t in_h, size_t in_w,
+                          const float* pre, const float* gpre, size_t nf,
+                          size_t k, float lr, float* w, float* acc,
+                          float* gbias, float* gin);
 };
 
 enum class KernelPath { kGeneric = 0, kNative = 1 };

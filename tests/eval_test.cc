@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
+#include "datagen/presets.h"
 #include "eval/category.h"
 #include "eval/comparison.h"
 #include "eval/metrics.h"
 #include "eval/ranker.h"
+#include "models/model.h"
 #include "util/deadline.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace kgc {
 namespace {
@@ -84,6 +89,64 @@ TEST(RankerTest, CustomFilterStore) {
   // Raw: e1, e2, e4 above e3 -> rank 4. Filtered: all three removed -> 1.
   EXPECT_DOUBLE_EQ(ranks[0].tail_raw, 4.0);
   EXPECT_DOUBLE_EQ(ranks[0].tail_filtered, 1.0);
+}
+
+TEST(RankerTest, NanTrueScoreRanksAfterEveryNumber) {
+  // Tail query (0, r, ?): the true tail e3 scores NaN. It ranks after the
+  // three numbers and ties with e1, the other NaN: 3 + 1/2 + 1. Filtered,
+  // e2 (a number) and e1 (a NaN) are known tails: 2 + 0/2 + 1.
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  const StubPredictor predictor({0.1f, kNan, 0.8f, kNan, 0.2f});
+  const Dataset dataset = SmallDataset();
+  const auto ranks = RankTriples(predictor, dataset, dataset.test());
+  EXPECT_DOUBLE_EQ(ranks[0].tail_raw, 4.5);
+  EXPECT_DOUBLE_EQ(ranks[0].tail_filtered, 3.0);
+  // Head query (?, r, 3): e0 scores 0.1, below e2 and e4; NaNs rank below.
+  EXPECT_DOUBLE_EQ(ranks[0].head_raw, 3.0);
+  EXPECT_DOUBLE_EQ(ranks[0].head_filtered, 3.0);
+}
+
+TEST(RankerTest, NanParametersKeepRanksInRange) {
+  // A trained model whose parameters hold a NaN (a CRC-valid file can carry
+  // one) scores NaN for every triple that touches the row. DistMult's
+  // entity table leads its serialized form: rows, dim, count, then floats.
+  const SyntheticKg kg = GenerateTiny(5);
+  const Dataset& dataset = kg.dataset;
+  const ModelHyperParams params = DefaultHyperParams(ModelType::kDistMult);
+  auto model = CreateModel(ModelType::kDistMult, dataset.num_entities(),
+                           dataset.num_relations(), params);
+  BinaryWriter writer;
+  model->Serialize(writer);
+  std::vector<uint8_t> bytes = writer.buffer();
+  const size_t row = 3 * sizeof(int64_t) +
+                     static_cast<size_t>(dataset.test()[0].tail) *
+                         static_cast<size_t>(params.dim) * sizeof(float);
+  ASSERT_LE(row + static_cast<size_t>(params.dim) * sizeof(float),
+            bytes.size());
+  for (int32_t j = 0; j < params.dim; ++j) {
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::memcpy(bytes.data() + row + static_cast<size_t>(j) * sizeof(float),
+                &nan, sizeof(nan));
+  }
+  BinaryReader reader(std::move(bytes));
+  ASSERT_TRUE(model->Deserialize(reader).ok());
+
+  const auto ranks = RankTriples(*model, dataset, dataset.test());
+  const double n = static_cast<double>(dataset.num_entities());
+  for (const TripleRanks& r : ranks) {
+    for (const double rank :
+         {r.head_raw, r.head_filtered, r.tail_raw, r.tail_filtered}) {
+      EXPECT_GE(rank, 1.0);
+      EXPECT_LE(rank, n);
+    }
+  }
+  // The NaN tail ranks after every number on both sides of the query.
+  EXPECT_GT(ranks[0].tail_raw, n / 2);
+  const LinkPredictionMetrics m = ComputeMetrics(ranks);
+  for (const double v : {m.mr, m.mrr, m.hits10, m.fmr, m.fmrr, m.fhits10}) {
+    EXPECT_TRUE(std::isfinite(v));
+  }
+  EXPECT_LE(m.fmr, n);
 }
 
 int g_ranker_deadline_hits = 0;

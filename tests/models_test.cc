@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include "models/trainer.h"
 #include "models/transe.h"
 #include "util/crc32.h"
+#include "util/serialize.h"
 #include "util/vecmath.h"
 
 namespace kgc {
@@ -106,6 +108,37 @@ TEST_P(ModelPropertyTest, GradientStepLowersNegativeScore) {
   const double after = model->Score(triple.head, triple.relation,
                                     triple.tail);
   EXPECT_LT(after, before) << model->name();
+}
+
+// The trainer's logistic branch calls ScoreAndApplyGradient; ConvE and
+// TuckER override it to reuse what Score computed. It must return Score's
+// bits and leave ApplyGradient's, for either sign and for a self-loop.
+TEST_P(ModelPropertyTest, ScoreAndApplyGradientMatchesScoreThenApply) {
+  const auto fused = MakeModel();
+  const auto reference = MakeModel();
+  const Triple triples[] = {{4, 2, 9}, {7, 0, 7}, {4, 2, 9}, {1, 4, 3}};
+  float (*const losses[])(double) = {
+      [](double s) { return static_cast<float>(-1.0 / (1.0 + std::exp(s))); },
+      [](double s) { return static_cast<float>(1.0 / (1.0 + std::exp(-s))); },
+  };
+  for (const Triple& triple : triples) {
+    for (const auto d_loss_d_score : losses) {
+      const double want =
+          reference->Score(triple.head, triple.relation, triple.tail);
+      reference->ApplyGradient(triple, d_loss_d_score(want), 0.05f);
+      const double got = fused->ScoreAndApplyGradient(triple, d_loss_d_score,
+                                                      0.05f);
+      EXPECT_EQ(std::bit_cast<uint64_t>(want), std::bit_cast<uint64_t>(got))
+          << fused->name() << " (" << triple.head << ","
+          << triple.relation << "," << triple.tail << ")";
+    }
+  }
+  BinaryWriter fused_bytes;
+  fused->Serialize(fused_bytes);
+  BinaryWriter reference_bytes;
+  reference->Serialize(reference_bytes);
+  EXPECT_EQ(fused_bytes.buffer(), reference_bytes.buffer())
+      << fused->name();
 }
 
 TEST_P(ModelPropertyTest, SaveLoadRoundTripPreservesScores) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -15,6 +16,7 @@
 
 #include "datagen/presets.h"
 #include "eval/ranker.h"
+#include "models/trainer.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -170,6 +172,34 @@ TEST(TraceTest, RollupsAggregateByName) {
   EXPECT_EQ(rollups[0].count, 3u);
   EXPECT_GE(rollups[0].total_seconds, 0.0);
   EXPECT_LE(rollups[0].min_seconds, rollups[0].max_seconds);
+  obs::ResetTracingForTest();
+}
+
+// A labeled span rolls up twice: under its name, which layer attribution
+// keys on, and under "<name>/<label>". TrainModel labels its span with the
+// model and the dataset, so a run report has one training row per model.
+TEST(TraceTest, TrainModelRollsUpPerModelAndDataset) {
+  obs::ResetTracingForTest();
+  obs::EnableSpanRollups();
+  const SyntheticKg kg = GenerateTiny(5);
+  TrainOptions options;
+  options.epochs = 1;
+  for (const ModelType type : {ModelType::kTransE, ModelType::kDistMult}) {
+    ModelHyperParams params = DefaultHyperParams(type);
+    params.dim = 8;
+    auto model = CreateModel(type, kg.dataset.num_entities(),
+                             kg.dataset.num_relations(), params);
+    TrainModel(*model, kg.dataset, options);
+  }
+  std::map<std::string, uint64_t> counts;
+  for (const obs::SpanRollup& r : obs::CollectSpanRollups()) {
+    counts[r.name] = r.count;
+  }
+  const std::string dataset = kg.dataset.name();
+  EXPECT_EQ(counts["train_model"], 2u);
+  EXPECT_EQ(counts["train_model/TransE@" + dataset], 1u);
+  EXPECT_EQ(counts["train_model/DistMult@" + dataset], 1u);
+  EXPECT_EQ(counts["train_epoch"], 2u);  // unlabeled spans roll up once
   obs::ResetTracingForTest();
 }
 

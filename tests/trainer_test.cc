@@ -19,10 +19,13 @@ namespace kgc {
 namespace {
 
 // Golden CRC-32s of each model's serialized parameters (optimizer state
-// included) after two epochs of its default training, recorded before the
-// fused ConvE/TuckER training kernels replaced the scalar update loops. Any
-// change to the arithmetic or the order of a training update moves one of
-// these, on either kernel path.
+// included) after two epochs of its default training. The dim-8 rows were
+// recorded before the fused ConvE/TuckER training kernels replaced the
+// scalar update loops; the dim-32 rows, where ConvE's FC layer is 224 x 32
+// and so runs in full 8 x 8 tiles, before the training step reused Score's
+// forward, the FC step became one pass and the conv backward one kernel
+// call. Any change to the arithmetic or the order of a training update
+// moves one of these, on either kernel path.
 TEST(TrainerTest, TrainedParametersMatchGoldenCrcs) {
   const SyntheticKg tiny = GenerateTiny(5);
   // A self-loop pins the update order when both sides share one entity row
@@ -36,20 +39,24 @@ TEST(TrainerTest, TrainedParametersMatchGoldenCrcs) {
   struct Golden {
     ModelType type;
     bool adagrad;
+    int32_t dim;
     uint32_t crc;
   };
   const Golden kGolden[] = {
-      {ModelType::kTransE, false, 0xba688e62},
-      {ModelType::kTransH, false, 0x74ba74b3},
-      {ModelType::kTransR, false, 0xb0d94f57},
-      {ModelType::kTransD, false, 0x20c4fe20},
-      {ModelType::kRescal, true, 0x0a285c8a},
-      {ModelType::kDistMult, false, 0x58def5b2},
-      {ModelType::kComplEx, false, 0xd9df158c},
-      {ModelType::kRotatE, false, 0xd55bcaca},
-      {ModelType::kTuckER, true, 0x11d15aea},
-      {ModelType::kConvE, true, 0xff476762},
-      {ModelType::kConvE, false, 0xe85d4cc1},
+      {ModelType::kTransE, false, 8, 0xba688e62},
+      {ModelType::kTransH, false, 8, 0x74ba74b3},
+      {ModelType::kTransR, false, 8, 0xb0d94f57},
+      {ModelType::kTransD, false, 8, 0x20c4fe20},
+      {ModelType::kRescal, true, 8, 0x0a285c8a},
+      {ModelType::kDistMult, false, 8, 0x58def5b2},
+      {ModelType::kComplEx, false, 8, 0xd9df158c},
+      {ModelType::kRotatE, false, 8, 0xd55bcaca},
+      {ModelType::kTuckER, true, 8, 0x11d15aea},
+      {ModelType::kConvE, true, 8, 0xff476762},
+      {ModelType::kConvE, false, 8, 0xe85d4cc1},
+      {ModelType::kTuckER, true, 32, 0x52811e14},
+      {ModelType::kConvE, true, 32, 0x38ee892e},
+      {ModelType::kConvE, false, 32, 0x39c452d8},
   };
 
   const bool was_native = std::strcmp(vec::Ops().name, "native") == 0;
@@ -58,7 +65,7 @@ TEST(TrainerTest, TrainedParametersMatchGoldenCrcs) {
     vec::SetKernelPathForTest(path);
     for (const Golden& golden : kGolden) {
       ModelHyperParams params = DefaultHyperParams(golden.type);
-      params.dim = 8;
+      params.dim = golden.dim;
       params.adagrad = golden.adagrad;
       auto model = CreateModel(golden.type, dataset.num_entities(),
                                dataset.num_relations(), params);
@@ -72,7 +79,7 @@ TEST(TrainerTest, TrainedParametersMatchGoldenCrcs) {
           Crc32(writer.buffer().data(), writer.buffer().size());
       EXPECT_EQ(crc, golden.crc)
           << ModelTypeName(golden.type) << " adagrad=" << golden.adagrad
-          << " path=" << vec::Ops().name << " crc=0x" << std::hex << crc;
+          << " dim=" << golden.dim << " path=" << vec::Ops().name << " crc=0x" << std::hex << crc;
     }
   }
   vec::SetKernelPathForTest(was_native ? vec::KernelPath::kNative

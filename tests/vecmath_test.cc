@@ -376,7 +376,8 @@ TEST(VecMathTest, UpdateRowMatchesScalarUpdateLoop) {
 }
 
 // dense_update_rows against ConvE's former scalar FC backward: a float sum
-// over the pre-update row, then one Update per element.
+// over the pre-update row, then one Update per element. m = 224 is ConvE's
+// FC layer at dim 32, all full 8 x 8 tiles when n is a multiple of 8.
 TEST(VecMathTest, DenseUpdateRowsMatchScalarUpdateLoop) {
   Rng rng(14);
   const float lr = 0.03f;
@@ -384,7 +385,7 @@ TEST(VecMathTest, DenseUpdateRowsMatchScalarUpdateLoop) {
   for (const vec::KernelOps* ops : AllPaths()) {
     SCOPED_TRACE(ops->name);
     for (bool adagrad : {false, true}) {
-      for (size_t m : {1, 7, 8, 9, 19}) {
+      for (size_t m : {1, 7, 8, 9, 19, 224}) {
         for (size_t n : kDims) {
           EmbeddingTable scalar(static_cast<int64_t>(m + 2),
                                 static_cast<int64_t>(n));
@@ -393,12 +394,15 @@ TEST(VecMathTest, DenseUpdateRowsMatchScalarUpdateLoop) {
           if (adagrad) scalar.EnableAdaGrad();
           EmbeddingTable fused = scalar;
           for (int step = 0; step < 3; ++step) {
-            // Zero, NaN and infinite inputs on x; the edge values on gy.
+            // Zero, NaN and infinite inputs on x.
             auto x = RandomVector(rng, m, -3.0, 3.0);
             x[0] = step == 0 ? 0.0f : (step == 1 ? -0.0f : 1.0f);
             if (m > 2) x[2] = std::numeric_limits<float>::quiet_NaN();
             if (m > 3) x[3] = std::numeric_limits<float>::infinity();
-            const auto gy = EdgeVector(rng, n, -4.0, 4.0);
+            // The edge values on gy turn every later sum and row into NaN,
+            // so the first step keeps gy finite: its gx are real sums.
+            const auto gy = step == 0 ? RandomVector(rng, n, -4.0, 4.0)
+                                      : EdgeVector(rng, n, -4.0, 4.0);
 
             std::vector<float> gx_ref(m);
             for (size_t i = 0; i < m; ++i) {
@@ -568,6 +572,128 @@ TEST(VecMathTest, Conv2dReluMatchesScalarConvolution) {
     ops->conv2d_relu(in.data(), 3, 3, taps.data(), &bias, 1, 3, &pre, &feat);
     EXPECT_EQ(pre, 3.0f);
     EXPECT_EQ(feat, 3.0f);
+  }
+}
+
+// conv2d_backward against ConvE's former conv backward loop, kept here as
+// the reference: per filter and live position, the propagated gradient
+// through the filter as the previous position left it, then one fused row
+// update of the filter and, per filter, one bias update.
+void RefConvBackward(const std::vector<float>& in, size_t in_h, size_t in_w,
+                     const std::vector<float>& pre,
+                     const std::vector<float>& gpre, size_t nf, size_t k,
+                     float lr, EmbeddingTable& kernels,
+                     EmbeddingTable& conv_bias, std::vector<float>& gin,
+                     std::vector<float>& gbias) {
+  const size_t oh = in_h - k + 1;
+  const size_t ow = in_w - k + 1;
+  const size_t plane = oh * ow;
+  for (size_t f = 0; f < nf; ++f) {
+    const auto kernel = kernels.Row(static_cast<int64_t>(f));
+    float bias_grad = 0.0f;
+    for (size_t oy = 0; oy < oh; ++oy) {
+      for (size_t ox = 0; ox < ow; ++ox) {
+        const size_t idx = f * plane + oy * ow + ox;
+        if (pre[idx] <= 0) continue;
+        const float g = gpre[idx];
+        if (g == 0.0f) continue;
+        bias_grad += g;
+        std::vector<float> window(k * k);
+        for (size_t ky = 0; ky < k; ++ky) {
+          for (size_t kx = 0; kx < k; ++kx) {
+            const size_t tap = ky * k + kx;
+            const size_t in_idx = (oy + ky) * in_w + ox + kx;
+            gin[in_idx] += g * kernel[tap];
+            window[tap] = in[in_idx];
+          }
+        }
+        kernels.UpdateRow(static_cast<int64_t>(f), window, lr, g);
+      }
+    }
+    gbias[f] = bias_grad;
+    conv_bias.Update(0, static_cast<int64_t>(f), bias_grad, lr);
+  }
+}
+
+TEST(VecMathTest, Conv2dBackwardMatchesConvEStepLoop) {
+  Rng rng(17);
+  struct Shape {
+    size_t in_h, in_w, nf, k;
+  };
+  // The shapes of Conv2dReluMatchesScalarConvolution: ConvE's 16 x 4 grid
+  // with 8 filters, filters past a lane group, k = 1 and k = 5.
+  const Shape kShapes[] = {{16, 4, 8, 3}, {5, 7, 11, 3}, {3, 3, 2, 1},
+                           {40, 6, 9, 3}, {6, 6, 8, 5}};
+  const float lr = 0.03f;
+  for (const vec::KernelOps* ops : AllPaths()) {
+    SCOPED_TRACE(ops->name);
+    for (bool adagrad : {false, true}) {
+      for (const Shape& sh : kShapes) {
+        SCOPED_TRACE(testing::Message() << "adagrad=" << adagrad << " shape "
+                                        << sh.in_h << "x" << sh.in_w << " nf="
+                                        << sh.nf << " k=" << sh.k);
+        const size_t taps = sh.k * sh.k;
+        const size_t plane = (sh.in_h - sh.k + 1) * (sh.in_w - sh.k + 1);
+        EmbeddingTable ref_kernels(static_cast<int64_t>(sh.nf),
+                                   static_cast<int64_t>(taps));
+        Rng init(sh.in_h * 100 + sh.nf);
+        ref_kernels.InitNormal(init, 0.5);
+        EmbeddingTable ref_bias(1, static_cast<int64_t>(sh.nf));
+        if (adagrad) {
+          ref_kernels.EnableAdaGrad();
+          ref_bias.EnableAdaGrad();
+        }
+        EmbeddingTable kernels = ref_kernels;
+        EmbeddingTable bias = ref_bias;
+        // Three steps, so the accumulators and filters carry history.
+        for (int step = 0; step < 3; ++step) {
+          auto in = RandomVector(rng, sh.in_h * sh.in_w, -3.0, 3.0);
+          in[1] = std::numeric_limits<float>::quiet_NaN();
+          in[sh.in_w + 2] = -0.0f;
+          // Dead (negative, zero, -0) and live positions, a NaN pre-
+          // activation (live: NaN <= 0 is false), and gradients large
+          // enough to clip, zero, -0 and NaN.
+          auto pre = RandomVector(rng, sh.nf * plane, -1.0, 1.0);
+          pre[0] = 0.0f;
+          pre[1] = -0.0f;
+          pre[2] = std::numeric_limits<float>::quiet_NaN();
+          auto gpre = EdgeVector(rng, sh.nf * plane, -4.0, 4.0);
+          gpre[plane - 1] = 0.0f;
+          gpre[(sh.nf - 1) * plane] = -0.0f;
+          if (step == 1) gpre[3] = std::numeric_limits<float>::quiet_NaN();
+          const auto gin0 = EdgeVector(rng, sh.in_h * sh.in_w, -1.0, 1.0);
+
+          std::vector<float> want_gin = gin0;
+          std::vector<float> want_gbias(sh.nf);
+          WithKernelPath(ops, [&] {
+            RefConvBackward(in, sh.in_h, sh.in_w, pre, gpre, sh.nf, sh.k, lr,
+                            ref_kernels, ref_bias, want_gin, want_gbias);
+          });
+          std::vector<float> gin = gin0;
+          std::vector<float> gbias(sh.nf);
+          ops->conv2d_backward(in.data(), sh.in_h, sh.in_w, pre.data(),
+                               gpre.data(), sh.nf, sh.k, lr,
+                               kernels.mutable_data().data(),
+                               kernels.adagrad_data(), gbias.data(),
+                               gin.data());
+          for (size_t f = 0; f < sh.nf; ++f) {
+            bias.Update(0, static_cast<int64_t>(f), gbias[f], lr);
+          }
+          ExpectSameBits(want_gin, gin, "gin", /*open_nans=*/true);
+          ExpectSameBits(want_gbias, gbias, "gbias", /*open_nans=*/true);
+          ExpectSameBits(ref_kernels.data(), kernels.data(), "filters",
+                         /*open_nans=*/true);
+          if (adagrad) {
+            const size_t n = sh.nf * taps;
+            ExpectSameBits({ref_kernels.adagrad_data(), n},
+                           {kernels.adagrad_data(), n}, "accumulators",
+                           /*open_nans=*/true);
+          }
+          ExpectSameBits(ref_bias.data(), bias.data(), "bias",
+                         /*open_nans=*/true);
+        }
+      }
+    }
   }
 }
 
