@@ -8,7 +8,6 @@
 
 #include "obs/exporter.h"
 #include "obs/metrics.h"
-#include "obs/perf_counters.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "util/deadline.h"
@@ -121,9 +120,6 @@ BenchTelemetry::BenchTelemetry(const char* name, int* argc, char** argv)
   *argc = kept;
   argv[kept] = nullptr;
   if (!report_path_.empty()) obs::EnableSpanRollups();
-  // Run-wide telemetry threads/counters start here — before the lazy
-  // worker pool exists, so perf's inherit=1 covers every worker.
-  obs::StartRunPerfCounters();
   obs::StartExporterFromEnv(name_);
   InstallCrashHooks(this);
 }

@@ -30,7 +30,7 @@ namespace kgc::bench {
 ///   --report=PATH     append a run report line to PATH (overrides
 ///                     KGC_METRICS for this run)
 ///   --trace=PATH      write a Chrome trace to PATH (overrides KGC_TRACE)
-///   --log-level=L     debug | info | warning | error
+///   --log-level=L     info | warning | error
 ///
 /// `Finish(exit_code)` appends the machine-readable run report — when a
 /// report path came from --report or KGC_METRICS — and flushes the trace,

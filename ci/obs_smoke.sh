@@ -13,8 +13,8 @@
 #     cumulative counters must be bit-identical across KGC_THREADS
 #   - the 9-model Table 5 path must write the same .ranks bytes at any
 #     KGC_THREADS, and the same .kgcm bytes with KGC_KERNEL=generic
-#   - no library function may be called only by tests, unless
-#     ci/test_only_symbols.sh allowlists it with a reason
+#   - no library function may be called only by tests, or by nothing,
+#     unless ci/test_only_symbols.sh allowlists it with a reason
 #
 # Usage: ci/obs_smoke.sh [build-dir]      (default: build)
 set -euo pipefail
@@ -32,7 +32,7 @@ for target in "${BENCH}" "${TABLE5}"; do
   fi
 done
 
-echo "== library functions that only tests call =="
+echo "== library functions that only tests call, or nothing calls =="
 cmake --build "${BUILD_DIR}" -j "$(nproc)" > /dev/null
 ci/test_only_symbols.sh "${BUILD_DIR}"
 

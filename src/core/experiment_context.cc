@@ -1,14 +1,12 @@
 #include "core/experiment_context.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "core/audit.h"
 
+#include "obs/env.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/file_util.h"
@@ -26,21 +24,8 @@ ExperimentOptions ExperimentOptions::FromEnv() {
   ExperimentOptions options;
   const char* cache_dir = std::getenv("KGC_CACHE_DIR");
   if (cache_dir != nullptr) options.cache_dir = cache_dir;
-  const char* scale = std::getenv("KGC_EPOCH_SCALE");
-  if (scale != nullptr && *scale != '\0') {
-    const char* end = scale + std::strlen(scale);
-    double parsed = 0;
-    const auto [ptr, ec] = std::from_chars(scale, end, parsed);
-    if (ec == std::errc() && ptr == end && std::isfinite(parsed) &&
-        parsed > 0) {
-      options.epoch_scale = parsed;
-    } else {
-      std::fprintf(stderr,
-                   "[kgc] ignoring KGC_EPOCH_SCALE=\"%s\" (expected a "
-                   "finite number > 0); using %g\n",
-                   scale, options.epoch_scale);
-    }
-  }
+  options.epoch_scale = obs::EnvNumber("KGC_EPOCH_SCALE", options.epoch_scale,
+                                       0.0, /*min_exclusive=*/true);
   return options;
 }
 

@@ -49,9 +49,9 @@ struct ExperimentOptions {
   int threads = 0;
 
   /// Defaults overlaid with KGC_CACHE_DIR and KGC_EPOCH_SCALE. The whole
-  /// scale value must parse as a finite decimal number > 0; anything else
-  /// warns once on stderr and keeps 1.0, so a typo cannot cut training to
-  /// one epoch.
+  /// scale value must parse as a finite decimal number > 0 (obs/env.h);
+  /// anything else warns once on stderr and keeps 1.0, so a typo cannot cut
+  /// training to one epoch.
   static ExperimentOptions FromEnv();
 };
 

@@ -43,18 +43,4 @@ CategoryHeadTailHits ComputeCategoryHeadTailHits(
   return result;
 }
 
-std::array<LinkPredictionMetrics, 4> ComputeCategoryMetrics(
-    std::span<const TripleRanks> ranks,
-    const std::vector<RelationCategory>& categories) {
-  std::array<MetricsAccumulator, 4> accs;
-  for (const TripleRanks& r : ranks) {
-    const size_t c = static_cast<size_t>(
-        categories[static_cast<size_t>(r.triple.relation)]);
-    accs[c].Add(r);
-  }
-  std::array<LinkPredictionMetrics, 4> result;
-  for (size_t c = 0; c < 4; ++c) result[c] = accs[c].Finalize();
-  return result;
-}
-
 }  // namespace kgc

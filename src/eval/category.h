@@ -34,12 +34,6 @@ CategoryHeadTailHits ComputeCategoryHeadTailHits(
     std::span<const TripleRanks> ranks,
     const std::vector<RelationCategory>& categories);
 
-/// FMRR per category (pooled over both sides), used by the Figure 7/8
-/// break-downs.
-std::array<LinkPredictionMetrics, 4> ComputeCategoryMetrics(
-    std::span<const TripleRanks> ranks,
-    const std::vector<RelationCategory>& categories);
-
 }  // namespace kgc
 
 #endif  // KGC_EVAL_CATEGORY_H_

@@ -43,13 +43,4 @@ RelationStats ComputeRelationStats(const TripleStore& store, RelationId r) {
   return stats;
 }
 
-std::vector<RelationStats> ComputeAllRelationStats(const TripleStore& store) {
-  std::vector<RelationStats> all;
-  all.reserve(static_cast<size_t>(store.num_relations()));
-  for (RelationId r = 0; r < store.num_relations(); ++r) {
-    all.push_back(ComputeRelationStats(store, r));
-  }
-  return all;
-}
-
 }  // namespace kgc

@@ -4,9 +4,6 @@
 #ifndef KGC_KG_RELATION_STATS_H_
 #define KGC_KG_RELATION_STATS_H_
 
-#include <string>
-#include <vector>
-
 #include "kg/triple_store.h"
 
 namespace kgc {
@@ -36,9 +33,6 @@ struct RelationStats {
 /// Computes stats for one relation from a store. Relations with no triples
 /// get zeroed stats and category 1-to-1.
 RelationStats ComputeRelationStats(const TripleStore& store, RelationId r);
-
-/// Computes stats for every relation id in [0, store.num_relations()).
-std::vector<RelationStats> ComputeAllRelationStats(const TripleStore& store);
 
 /// Categorises using the conventional 1.5 threshold.
 RelationCategory Categorize(double heads_per_tail, double tails_per_head,

@@ -13,11 +13,6 @@ int32_t SymbolTable::Intern(std::string_view name) {
   return id;
 }
 
-int32_t SymbolTable::Find(std::string_view name) const {
-  auto it = ids_.find(std::string(name));
-  return it == ids_.end() ? -1 : it->second;
-}
-
 const std::string& SymbolTable::Name(int32_t id) const {
   KGC_CHECK_GE(id, 0);
   KGC_CHECK_LT(static_cast<size_t>(id), names_.size());

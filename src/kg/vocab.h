@@ -18,9 +18,6 @@ class SymbolTable {
   /// Returns the id for `name`, interning it if new.
   int32_t Intern(std::string_view name);
 
-  /// Returns the id for `name`, or -1 if absent.
-  int32_t Find(std::string_view name) const;
-
   /// Returns the name for `id`. id must be valid.
   const std::string& Name(int32_t id) const;
 
@@ -39,13 +36,6 @@ class Vocab {
   }
   RelationId InternRelation(std::string_view name) {
     return relations_.Intern(name);
-  }
-
-  EntityId FindEntity(std::string_view name) const {
-    return entities_.Find(name);
-  }
-  RelationId FindRelation(std::string_view name) const {
-    return relations_.Find(name);
   }
 
   const std::string& EntityName(EntityId id) const {

@@ -323,11 +323,6 @@ TrainStats TrainModel(KgeModel& model, const Dataset& dataset,
         LogWarning("checkpoint save failed: %s", saved.ToString().c_str());
       }
     }
-    if (options.abort_after_epoch > 0 &&
-        epoch + 1 - start_epoch >= options.abort_after_epoch) {
-      stats.seconds = watch.ElapsedSeconds();
-      return stats;  // simulated kill: checkpoint (if any) stays behind
-    }
     // Cooperative watchdog: the end of an epoch is the trainer's phase
     // boundary. On expiry, persist a resume point at exactly this epoch
     // (the every-N schedule may not have) so the orderly timeout exit

@@ -37,10 +37,6 @@ struct TrainOptions {
   std::string checkpoint_path;
   /// Epochs between checkpoints; <= 0 disables checkpointing.
   int checkpoint_every = 0;
-  /// Fault-injection hook: return right after this many epochs have
-  /// completed this run (simulating a killed process, checkpoint left
-  /// behind). <= 0 disables.
-  int abort_after_epoch = 0;
 };
 
 struct TrainStats {

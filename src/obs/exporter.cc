@@ -11,9 +11,9 @@
 #include <thread>
 
 #include "obs/clock.h"
+#include "obs/env.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/perf_counters.h"
 #include "obs/resource_stats.h"
 
 namespace kgc::obs {
@@ -172,36 +172,7 @@ class MetricsExporter {
     }
     out << "}";
 
-    const ResourceUsage usage = SampleProcessResources();
-    out << ",\"resources\":{\"cpu_user_seconds\":"
-        << JsonDouble(usage.cpu_user_seconds)
-        << ",\"cpu_sys_seconds\":" << JsonDouble(usage.cpu_sys_seconds)
-        << ",\"max_rss_bytes\":" << usage.max_rss_bytes
-        << ",\"minor_faults\":" << usage.minor_faults
-        << ",\"major_faults\":" << usage.major_faults
-        << ",\"vol_ctx_switches\":" << usage.vol_ctx_switches
-        << ",\"invol_ctx_switches\":" << usage.invol_ctx_switches;
-    if (usage.io_ok) {
-      out << ",\"read_bytes\":" << usage.read_bytes
-          << ",\"write_bytes\":" << usage.write_bytes;
-    }
-    out << "}";
-
-    const PerfValues perf = RunPerfValues();
-    if (perf.ok) {
-      out << ",\"perf\":{";
-      bool first_perf = true;
-      const auto emit = [&](const char* key, int64_t value) {
-        if (value < 0) return;
-        out << (first_perf ? "" : ",") << "\"" << key << "\":" << value;
-        first_perf = false;
-      };
-      emit("cycles", perf.cycles);
-      emit("instructions", perf.instructions);
-      emit("cache_misses", perf.cache_misses);
-      emit("branch_misses", perf.branch_misses);
-      out << "}";
-    }
+    out << ",\"resources\":" << ResourceUsageJson(SampleProcessResources());
 
     out << "}";
     return out.str();
@@ -266,10 +237,8 @@ MetricsExporter& Exporter() {
 }  // namespace
 
 bool StartExporterFromEnv(const std::string& run_name) {
-  const char* interval_env = std::getenv("KGC_METRICS_INTERVAL_MS");
-  if (interval_env == nullptr || interval_env[0] == '\0') return false;
-  const int interval_ms = std::atoi(interval_env);
-  if (interval_ms <= 0) return false;
+  const int interval_ms = EnvNumber("KGC_METRICS_INTERVAL_MS", 0, 0);
+  if (interval_ms == 0) return false;
   ExporterOptions options;
   options.run_name = run_name;
   options.interval_ms = interval_ms;

@@ -4,15 +4,15 @@
 //   1. A time-series file (`KGC_TIMESERIES`, default kgc_timeseries.jsonl):
 //      one `kgc.timeseries.v1` JSON line per tick carrying the steady-clock
 //      offset, a wall timestamp, per-counter cumulative totals *and*
-//      per-tick deltas, set gauges, duration-histogram quantiles, a
-//      resource sample and (when enabled) perf-counter readings. Records
-//      survive SIGKILL up to the last completed line because each line is
-//      flushed as it is written.
+//      per-tick deltas, set gauges, duration-histogram quantiles and a
+//      resource sample. Records survive SIGKILL up to the last completed
+//      line because each line is flushed as it is written.
 //   2. A Prometheus-style text exposition file (`KGC_EXPOSITION`, default
 //      kgc_metrics.prom), rewritten atomically (write temp + rename) each
 //      tick so a scraper or `watch cat` never sees a torn file.
 //
-// The exporter is enabled by `KGC_METRICS_INTERVAL_MS=<n>` (n > 0). One
+// The exporter is enabled by `KGC_METRICS_INTERVAL_MS=<n>` (a whole n > 0,
+// parsed strictly as obs/env.h describes; 0 or unset leaves it off). One
 // exporter runs per process; Stop emits a final record so short runs
 // always produce at least one tick. On the crash path (fatal signal) use
 // Abort: it stops the thread without joining, because joining from a

@@ -10,7 +10,6 @@
 #include "obs/exporter.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/perf_counters.h"
 #include "obs/resource_stats.h"
 #include "obs/trace.h"
 
@@ -124,20 +123,8 @@ std::string RenderRunReport(const RunInfo& info) {
   out << "}";
 
   // Process-cumulative resource usage plus per-deadline-phase deltas.
-  const ResourceUsage usage = SampleProcessResources();
-  out << ",\"resources\":{\"process\":{\"cpu_user_seconds\":"
-      << JsonDouble(usage.cpu_user_seconds)
-      << ",\"cpu_sys_seconds\":" << JsonDouble(usage.cpu_sys_seconds)
-      << ",\"max_rss_bytes\":" << usage.max_rss_bytes
-      << ",\"minor_faults\":" << usage.minor_faults
-      << ",\"major_faults\":" << usage.major_faults
-      << ",\"vol_ctx_switches\":" << usage.vol_ctx_switches
-      << ",\"invol_ctx_switches\":" << usage.invol_ctx_switches;
-  if (usage.io_ok) {
-    out << ",\"read_bytes\":" << usage.read_bytes
-        << ",\"write_bytes\":" << usage.write_bytes;
-  }
-  out << "},\"phases\":[";
+  out << ",\"resources\":{\"process\":"
+      << ResourceUsageJson(SampleProcessResources()) << ",\"phases\":[";
   const std::vector<PhaseResourceStats> phases = CollectPhaseResources();
   for (size_t i = 0; i < phases.size(); ++i) {
     const PhaseResourceStats& p = phases[i];
@@ -154,24 +141,9 @@ std::string RenderRunReport(const RunInfo& info) {
       out << ",\"read_bytes\":" << p.read_bytes
           << ",\"write_bytes\":" << p.write_bytes;
     }
-    if (p.perf_ok) {
-      out << ",\"perf\":{\"cycles\":" << p.cycles
-          << ",\"instructions\":" << p.instructions
-          << ",\"cache_misses\":" << p.cache_misses
-          << ",\"branch_misses\":" << p.branch_misses << "}";
-    }
     out << "}";
   }
   out << "]}";
-
-  const PerfValues perf = RunPerfValues();
-  if (perf.ok) {
-    out << ",\"perf\":{\"cycles\":" << perf.cycles
-        << ",\"instructions\":" << perf.instructions
-        << ",\"cache_misses\":" << perf.cache_misses
-        << ",\"branch_misses\":" << perf.branch_misses << "}";
-  }
-
   out << "}";
   return out.str();
 }

@@ -4,17 +4,16 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <mutex>
 #include <optional>
+#include <sstream>
 
 #include "obs/clock.h"
-#include "obs/perf_counters.h"
+#include "obs/json.h"
 
 namespace kgc::obs {
 namespace {
 
-std::atomic<TelemetryFailpointFn> g_failpoint{nullptr};
 std::atomic<const char*> g_procfs_root{nullptr};
 
 const char* ProcfsRoot() {
@@ -23,10 +22,8 @@ const char* ProcfsRoot() {
 }
 
 // Parses "<key>: <value>" lines out of /proc/self/io. Returns false when
-// the file is unreadable (procfs not mounted, hidepid, sandbox) or the
-// failpoint simulates that.
+// the file is unreadable (procfs not mounted, hidepid, sandbox).
 bool ReadProcSelfIo(int64_t* read_bytes, int64_t* write_bytes) {
-  if (TelemetryFailpointHit("obs:procfs")) return false;
   const std::string path = std::string(ProcfsRoot()) + "/io";
   FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) return false;
@@ -59,17 +56,11 @@ struct OpenPhase {
   std::string name;
   int64_t start_steady_ns = 0;
   ResourceUsage start;
-  PerfValues perf_start;
 };
 
 std::mutex g_phase_mutex;
 std::optional<OpenPhase> g_open_phase;
 std::vector<PhaseResourceStats> g_completed_phases;
-
-int64_t PerfDelta(int64_t end, int64_t start) {
-  if (end < 0 || start < 0) return -1;
-  return end - start;
-}
 
 void ClosePhaseLocked() {
   if (!g_open_phase.has_value()) return;
@@ -92,31 +83,11 @@ void ClosePhaseLocked() {
     stats.read_bytes = end.read_bytes - open.start.read_bytes;
     stats.write_bytes = end.write_bytes - open.start.write_bytes;
   }
-  const PerfValues perf_end = RunPerfValues();
-  if (perf_end.ok && open.perf_start.ok) {
-    stats.perf_ok = true;
-    stats.cycles = PerfDelta(perf_end.cycles, open.perf_start.cycles);
-    stats.instructions =
-        PerfDelta(perf_end.instructions, open.perf_start.instructions);
-    stats.cache_misses =
-        PerfDelta(perf_end.cache_misses, open.perf_start.cache_misses);
-    stats.branch_misses =
-        PerfDelta(perf_end.branch_misses, open.perf_start.branch_misses);
-  }
   g_completed_phases.push_back(std::move(stats));
   g_open_phase.reset();
 }
 
 }  // namespace
-
-void SetTelemetryFailpoint(TelemetryFailpointFn fn) {
-  g_failpoint.store(fn, std::memory_order_release);
-}
-
-bool TelemetryFailpointHit(const char* site) {
-  const TelemetryFailpointFn fn = g_failpoint.load(std::memory_order_acquire);
-  return fn != nullptr && fn(site);
-}
 
 void SetProcfsRootForTest(const char* root) {
   g_procfs_root.store(root, std::memory_order_release);
@@ -125,17 +96,14 @@ void SetProcfsRootForTest(const char* root) {
 ResourceUsage SampleProcessResources() {
   ResourceUsage usage;
   rusage ru{};
-  if (!TelemetryFailpointHit("obs:rusage") &&
-      getrusage(RUSAGE_SELF, &ru) == 0) {
-    usage.rusage_ok = true;
-    usage.cpu_user_seconds = TimevalSeconds(ru.ru_utime);
-    usage.cpu_sys_seconds = TimevalSeconds(ru.ru_stime);
-    usage.max_rss_bytes = static_cast<int64_t>(ru.ru_maxrss) * 1024;  // KiB
-    usage.minor_faults = ru.ru_minflt;
-    usage.major_faults = ru.ru_majflt;
-    usage.vol_ctx_switches = ru.ru_nvcsw;
-    usage.invol_ctx_switches = ru.ru_nivcsw;
-  }
+  getrusage(RUSAGE_SELF, &ru);  // cannot fail for RUSAGE_SELF
+  usage.cpu_user_seconds = TimevalSeconds(ru.ru_utime);
+  usage.cpu_sys_seconds = TimevalSeconds(ru.ru_stime);
+  usage.max_rss_bytes = static_cast<int64_t>(ru.ru_maxrss) * 1024;  // KiB
+  usage.minor_faults = ru.ru_minflt;
+  usage.major_faults = ru.ru_majflt;
+  usage.vol_ctx_switches = ru.ru_nvcsw;
+  usage.invol_ctx_switches = ru.ru_nivcsw;
   int64_t read_bytes = -1;
   int64_t write_bytes = -1;
   if (ReadProcSelfIo(&read_bytes, &write_bytes)) {
@@ -146,6 +114,23 @@ ResourceUsage SampleProcessResources() {
   return usage;
 }
 
+std::string ResourceUsageJson(const ResourceUsage& usage) {
+  std::ostringstream out;
+  out << "{\"cpu_user_seconds\":" << JsonDouble(usage.cpu_user_seconds)
+      << ",\"cpu_sys_seconds\":" << JsonDouble(usage.cpu_sys_seconds)
+      << ",\"max_rss_bytes\":" << usage.max_rss_bytes
+      << ",\"minor_faults\":" << usage.minor_faults
+      << ",\"major_faults\":" << usage.major_faults
+      << ",\"vol_ctx_switches\":" << usage.vol_ctx_switches
+      << ",\"invol_ctx_switches\":" << usage.invol_ctx_switches;
+  if (usage.io_ok) {
+    out << ",\"read_bytes\":" << usage.read_bytes
+        << ",\"write_bytes\":" << usage.write_bytes;
+  }
+  out << "}";
+  return out.str();
+}
+
 void BeginPhaseResources(const std::string& name) {
   std::lock_guard<std::mutex> lock(g_phase_mutex);
   ClosePhaseLocked();
@@ -153,13 +138,7 @@ void BeginPhaseResources(const std::string& name) {
   open.name = name;
   open.start_steady_ns = SteadyNowNs();
   open.start = SampleProcessResources();
-  open.perf_start = RunPerfValues();
   g_open_phase = std::move(open);
-}
-
-void ClosePhaseResources() {
-  std::lock_guard<std::mutex> lock(g_phase_mutex);
-  ClosePhaseLocked();
 }
 
 std::vector<PhaseResourceStats> CollectPhaseResources() {

@@ -3,14 +3,8 @@
 //
 // A sample is cheap (two syscalls and one small procfs read), so phase
 // boundaries and the metrics exporter can take one each without showing up
-// in profiles. Every source degrades gracefully: on kernels or sandboxes
-// where /proc/self/io is absent (or a fault-injection failpoint simulates
-// that), the byte counters report -1/absent rather than failing the run.
-//
-// Layering: obs depends only on the standard library + OS, so it cannot
-// call util/fault_injector directly. Instead it exposes a failpoint hook
-// (SetTelemetryFailpoint) that the util layer installs a bridge into; the
-// obs sites are "obs:rusage", "obs:procfs" and "obs:perf".
+// in profiles. On kernels or sandboxes where /proc/self/io is absent, the
+// byte counters report -1/absent rather than failing the run.
 
 #ifndef KGC_OBS_RESOURCE_STATS_H_
 #define KGC_OBS_RESOURCE_STATS_H_
@@ -22,10 +16,8 @@
 namespace kgc::obs {
 
 /// A point-in-time cumulative sample for this process. Byte counters are
-/// -1 when /proc/self/io was unavailable; rusage fields are zero when
-/// getrusage itself failed (never expected outside fault injection).
+/// -1 when /proc/self/io was unavailable.
 struct ResourceUsage {
-  bool rusage_ok = false;
   double cpu_user_seconds = 0.0;
   double cpu_sys_seconds = 0.0;
   int64_t max_rss_bytes = 0;
@@ -40,11 +32,14 @@ struct ResourceUsage {
 
 ResourceUsage SampleProcessResources();
 
+/// `usage` as one JSON object, the process-resources block of the run
+/// report and of each time-series record. The byte counters are left out
+/// when procfs was unavailable.
+std::string ResourceUsageJson(const ResourceUsage& usage);
+
 /// Resource deltas over one deadline phase. max_rss_bytes is the absolute
 /// high-water mark at phase close (RSS peaks do not difference usefully);
-/// everything else is phase-local. Perf fields are deltas of whichever
-/// hardware counters were running (see obs/perf_counters.h) and are only
-/// meaningful when perf_ok is true.
+/// everything else is phase-local.
 struct PhaseResourceStats {
   std::string name;
   double wall_seconds = 0.0;
@@ -57,11 +52,6 @@ struct PhaseResourceStats {
   int64_t invol_ctx_switches = 0;
   int64_t read_bytes = -1;   ///< -1 when procfs was unavailable at either end
   int64_t write_bytes = -1;
-  bool perf_ok = false;
-  int64_t cycles = 0;
-  int64_t instructions = 0;
-  int64_t cache_misses = 0;
-  int64_t branch_misses = 0;
 };
 
 /// Opens a named accounting phase, closing any still-open one first (so a
@@ -69,20 +59,10 @@ struct PhaseResourceStats {
 /// meant to be driven from the run's phase boundaries, not the hot path.
 void BeginPhaseResources(const std::string& name);
 
-/// Closes the currently open phase, if any.
-void ClosePhaseResources();
-
 /// Closes any open phase and returns all completed phases in order.
 std::vector<PhaseResourceStats> CollectPhaseResources();
 
 void ResetPhaseResourcesForTest();
-
-/// Fault-injection bridge (installed by util/fault_injector; see file
-/// comment). Returns true when the given telemetry site should act as if
-/// the underlying source were unavailable.
-using TelemetryFailpointFn = bool (*)(const char* site);
-void SetTelemetryFailpoint(TelemetryFailpointFn fn);
-bool TelemetryFailpointHit(const char* site);
 
 /// Redirects the procfs reads (default root "/proc/self") so tests can
 /// exercise the missing-procfs path without a sandbox. nullptr restores

@@ -7,6 +7,7 @@
 #include <mutex>
 
 #include "obs/clock.h"
+#include "obs/env.h"
 #include "obs/json.h"
 
 namespace kgc::obs {
@@ -144,11 +145,8 @@ int InitFromEnv() {
       metrics != nullptr && metrics[0] != '\0') {
     mode |= kRollupsBit;
   }
-  if (const char* drain = std::getenv("KGC_TRACE_DRAIN");
-      drain != nullptr && drain[0] != '\0') {
-    const long threshold = std::atol(drain);
-    if (threshold > 0) state.drain_threshold = static_cast<size_t>(threshold);
-  }
+  state.drain_threshold =
+      EnvNumber<size_t>("KGC_TRACE_DRAIN", state.drain_threshold, 1);
   g_mode.store(mode, std::memory_order_release);
   return mode;
 }
@@ -167,8 +165,6 @@ int ThreadId() {
 }
 
 bool TracingEnabled() { return (Mode() & kTracingBit) != 0; }
-
-bool SpanRollupsEnabled() { return (Mode() & kRollupsBit) != 0; }
 
 void StartTracing(const std::string& path) {
   Mode();  // settle env init first so it cannot overwrite this

@@ -42,10 +42,6 @@ int ThreadId();
 /// True once tracing is active (KGC_TRACE or StartTracing).
 bool TracingEnabled();
 
-/// True once span rollups are collected (tracing, KGC_METRICS, or
-/// EnableSpanRollups).
-bool SpanRollupsEnabled();
-
 /// Starts buffering trace events for export to `path` (overrides any
 /// KGC_TRACE destination) and registers an at-exit flush.
 void StartTracing(const std::string& path);
@@ -72,7 +68,8 @@ struct SpanRollup {
 };
 
 /// Per-name aggregates of every completed span, sorted by name. Empty
-/// unless SpanRollupsEnabled().
+/// unless rollups are collected (tracing, KGC_METRICS, or
+/// EnableSpanRollups).
 std::vector<SpanRollup> CollectSpanRollups();
 
 /// One buffered (not yet drained) trace event, exposed for tests.

@@ -1,21 +1,10 @@
 #include "rules/cartesian_predictor.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/check.h"
 
 namespace kgc {
-
-CartesianPredictor::CartesianPredictor(const TripleStore& train,
-                                       const DetectorOptions& options)
-    : train_(train),
-      cartesian_(static_cast<size_t>(train.num_relations()), false) {
-  for (const CartesianEvidence& evidence :
-       FindCartesianRelations(train, options)) {
-    cartesian_[static_cast<size_t>(evidence.relation)] = true;
-  }
-}
 
 CartesianPredictor::CartesianPredictor(
     const TripleStore& train, std::vector<RelationId> cartesian_relations)
@@ -28,79 +17,14 @@ CartesianPredictor::CartesianPredictor(
   }
 }
 
-void CartesianPredictor::EnableTypeExtension(
-    std::vector<int32_t> entity_type) {
-  KGC_CHECK_EQ(static_cast<int64_t>(entity_type.size()),
-               static_cast<int64_t>(train_.num_entities()));
-  entity_type_ = std::move(entity_type);
-  // Precomputed for every relation up front: scoring runs concurrently on
-  // the ranker's worker threads, so a lazily-filled cache would race.
-  subject_type_.assign(static_cast<size_t>(train_.num_relations()), -1);
-  object_type_.assign(static_cast<size_t>(train_.num_relations()), -1);
-  for (RelationId r = 0; r < train_.num_relations(); ++r) {
-    subject_type_[static_cast<size_t>(r)] =
-        ComputeMajorityType(r, /*objects=*/false);
-    object_type_[static_cast<size_t>(r)] =
-        ComputeMajorityType(r, /*objects=*/true);
-  }
-}
-
-int32_t CartesianPredictor::MajorityType(RelationId r, bool objects) const {
-  const std::vector<int32_t>& cache = objects ? object_type_ : subject_type_;
-  return cache[static_cast<size_t>(r)];
-}
-
-int32_t CartesianPredictor::ComputeMajorityType(RelationId r,
-                                                bool objects) const {
-  std::unordered_map<int32_t, size_t> counts;
-  const EntitySetView entities =
-      objects ? train_.Objects(r) : train_.Subjects(r);
-  for (EntityId e : entities) {
-    counts[entity_type_[static_cast<size_t>(e)]]++;
-  }
-  int32_t best = -1;
-  size_t best_count = 0;
-  for (const auto& [type, count] : counts) {
-    if (count > best_count) {
-      best = type;
-      best_count = count;
-    }
-  }
-  return best;
-}
-
-std::vector<RelationId> CartesianPredictor::CartesianRelations() const {
-  std::vector<RelationId> result;
-  for (RelationId r = 0; r < train_.num_relations(); ++r) {
-    if (cartesian_[static_cast<size_t>(r)]) result.push_back(r);
-  }
-  return result;
-}
-
 void CartesianPredictor::ScoreTails(EntityId h, RelationId r,
                                     std::span<float> out) const {
   std::fill(out.begin(), out.end(), 0.0f);
-  if (cartesian_[static_cast<size_t>(r)]) {
-    // Predict every object of the relation, provided h is a known subject
-    // (or, with the type extension, any subject of the relation's type).
-    const bool head_qualifies =
-        train_.Subjects(r).contains(h) ||
-        (type_extension_enabled() &&
-         entity_type_[static_cast<size_t>(h)] ==
-             MajorityType(r, /*objects=*/false));
-    if (head_qualifies) {
-      for (EntityId t : train_.Objects(r)) {
-        out[static_cast<size_t>(t)] = 1.0f;
-      }
-      if (type_extension_enabled()) {
-        const int32_t object_type = MajorityType(r, /*objects=*/true);
-        for (EntityId t = 0; t < train_.num_entities(); ++t) {
-          if (entity_type_[static_cast<size_t>(t)] == object_type) {
-            out[static_cast<size_t>(t)] =
-                std::max(out[static_cast<size_t>(t)], 0.5f);
-          }
-        }
-      }
+  // Predict every object of a Cartesian relation, provided h is a known
+  // subject.
+  if (cartesian_[static_cast<size_t>(r)] && train_.Subjects(r).contains(h)) {
+    for (EntityId t : train_.Objects(r)) {
+      out[static_cast<size_t>(t)] = 1.0f;
     }
   }
   // Known facts score highest regardless (the relation may not be Cartesian;
@@ -113,25 +37,9 @@ void CartesianPredictor::ScoreTails(EntityId h, RelationId r,
 void CartesianPredictor::ScoreHeads(RelationId r, EntityId t,
                                     std::span<float> out) const {
   std::fill(out.begin(), out.end(), 0.0f);
-  if (cartesian_[static_cast<size_t>(r)]) {
-    const bool tail_qualifies =
-        train_.Objects(r).contains(t) ||
-        (type_extension_enabled() &&
-         entity_type_[static_cast<size_t>(t)] ==
-             MajorityType(r, /*objects=*/true));
-    if (tail_qualifies) {
-      for (EntityId h : train_.Subjects(r)) {
-        out[static_cast<size_t>(h)] = 1.0f;
-      }
-      if (type_extension_enabled()) {
-        const int32_t subject_type = MajorityType(r, /*objects=*/false);
-        for (EntityId h = 0; h < train_.num_entities(); ++h) {
-          if (entity_type_[static_cast<size_t>(h)] == subject_type) {
-            out[static_cast<size_t>(h)] =
-                std::max(out[static_cast<size_t>(h)], 0.5f);
-          }
-        }
-      }
+  if (cartesian_[static_cast<size_t>(r)] && train_.Objects(r).contains(t)) {
+    for (EntityId h : train_.Subjects(r)) {
+      out[static_cast<size_t>(h)] = 1.0f;
     }
   }
   for (EntityId h : train_.Heads(r, t)) {

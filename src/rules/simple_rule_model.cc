@@ -4,14 +4,6 @@
 
 namespace kgc {
 
-SimpleRuleModel::SimpleRuleModel(const TripleStore& train, double theta)
-    : SimpleRuleModel(train, [&] {
-        DetectorOptions options;
-        options.theta1 = theta;
-        options.theta2 = theta;
-        return RedundancyCatalog::Detect(train, options);
-      }()) {}
-
 SimpleRuleModel::SimpleRuleModel(const TripleStore& train,
                                  RedundancyCatalog catalog)
     : train_(train),

@@ -18,11 +18,9 @@ namespace kgc {
 
 class SimpleRuleModel final : public LinkPredictor {
  public:
-  /// Detects >theta-intersection relation pairs on `train` (which must
-  /// outlive the model).
-  SimpleRuleModel(const TripleStore& train, double theta = 0.8);
-
-  /// Uses a pre-built catalog instead of detecting (e.g. the oracle one).
+  /// Answers queries on `train` (which must outlive the model) with the
+  /// rules of `catalog`: usually RedundancyCatalog::Detect on the whole
+  /// dataset, or the generator's oracle catalog.
   SimpleRuleModel(const TripleStore& train, RedundancyCatalog catalog);
 
   const char* name() const override { return "SimpleModel"; }

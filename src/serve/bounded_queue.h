@@ -33,22 +33,14 @@ class BoundedQueue {
   }
 
   /// Pops up to `max_batch` items. Blocks until at least one item arrives
-  /// (rechecking `closed` every 100ms), then lingers up to `linger` for the
-  /// batch to fill. Returns an empty batch only when closed and drained.
-  std::vector<T> PopBatch(size_t max_batch, std::chrono::microseconds linger) {
+  /// (rechecking `closed` every 100ms), then takes whatever is queued.
+  /// Returns an empty batch only when closed and drained.
+  std::vector<T> PopBatch(size_t max_batch) {
     std::unique_lock<std::mutex> lock(mutex_);
     while (items_.empty() && !closed_) {
       ready_.wait_for(lock, std::chrono::milliseconds(100));
     }
     if (items_.empty()) return {};  // closed and drained
-    if (items_.size() < max_batch && !closed_ &&
-        linger > std::chrono::microseconds::zero()) {
-      // One bounded wait, not a loop: the tradeoff is batch occupancy vs
-      // added tail latency, and a single linger caps the latter.
-      ready_.wait_for(lock, linger, [&] {
-        return items_.size() >= max_batch || closed_;
-      });
-    }
     std::vector<T> batch;
     size_t take = std::min(items_.size(), max_batch);
     batch.reserve(take);

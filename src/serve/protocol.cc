@@ -162,24 +162,6 @@ Status ReadExact(int fd, size_t n, bool eof_ok, int64_t deadline_ms,
 
 }  // namespace
 
-const char* ReplyStatusName(ReplyStatus status) {
-  switch (status) {
-    case ReplyStatus::kOk:
-      return "OK";
-    case ReplyStatus::kOverloaded:
-      return "OVERLOADED";
-    case ReplyStatus::kDeadlineExceeded:
-      return "DEADLINE_EXCEEDED";
-    case ReplyStatus::kMalformed:
-      return "MALFORMED";
-    case ReplyStatus::kUnavailable:
-      return "UNAVAILABLE";
-    case ReplyStatus::kInternal:
-      return "INTERNAL";
-  }
-  return "UNKNOWN";
-}
-
 std::string EncodeRequest(const Request& request) {
   std::string out;
   AppendU8(kProtocolVersion, &out);

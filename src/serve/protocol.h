@@ -73,8 +73,6 @@ enum class ReplyStatus : uint8_t {
   kInternal = 5,           ///< injected or unexpected server-side failure
 };
 
-const char* ReplyStatusName(ReplyStatus status);
-
 inline constexpr uint8_t kReplyFlagDegraded = 1u << 0;
 
 /// Bytes before an OK reply's body: version, status, flags, id, generation.

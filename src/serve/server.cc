@@ -7,13 +7,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
 
 #include "eval/topk.h"
+#include "obs/env.h"
 #include "obs/metrics.h"
 #include "util/fault_injector.h"
 #include "util/logging.h"
@@ -21,23 +20,6 @@
 namespace kgc::serve {
 
 namespace {
-
-// KGC_SERVE_* values parse strictly: anything but a whole in-range value
-// keeps the default with one warning, as KGC_KERNEL does, so a typo cannot
-// zero a limit.
-int EnvInt(const char* name, int fallback, int min) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  const char* end = value + std::strlen(value);
-  int parsed = 0;
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (ec == std::errc() && ptr == end && parsed >= min) return parsed;
-  std::fprintf(stderr,
-               "[kgc] ignoring %s=\"%s\" (expected an integer >= %d); "
-               "using %d\n",
-               name, value, min, fallback);
-  return fallback;
-}
 
 // Same failure semantics as the snapshot rotation failpoints: kCrash
 // hard-exits like a SIGKILL, kStall sleeps the payload (the overload lever
@@ -76,18 +58,19 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 ServeOptions ServeOptions::FromEnv() {
+  // A typo cannot zero a limit: each value parses strictly (obs/env.h).
+  using obs::EnvNumber;
   ServeOptions options;
   options.max_connections =
-      EnvInt("KGC_SERVE_MAX_CONNECTIONS", options.max_connections, 1);
+      EnvNumber("KGC_SERVE_MAX_CONNECTIONS", options.max_connections, 1);
   options.queue_capacity =
-      EnvInt("KGC_SERVE_QUEUE", options.queue_capacity, 1);
-  options.max_batch = EnvInt("KGC_SERVE_MAX_BATCH", options.max_batch, 1);
-  options.linger_us = EnvInt("KGC_SERVE_LINGER_US", options.linger_us, 0);
+      EnvNumber("KGC_SERVE_QUEUE", options.queue_capacity, 1);
+  options.max_batch = EnvNumber("KGC_SERVE_MAX_BATCH", options.max_batch, 1);
   options.default_deadline_ms =
-      EnvInt("KGC_SERVE_DEADLINE_MS", options.default_deadline_ms, 1);
+      EnvNumber("KGC_SERVE_DEADLINE_MS", options.default_deadline_ms, 1);
   options.write_timeout_ms =
-      EnvInt("KGC_SERVE_WRITE_TIMEOUT_MS", options.write_timeout_ms, 1);
-  options.max_k = EnvInt("KGC_SERVE_MAX_K", options.max_k, 1);
+      EnvNumber("KGC_SERVE_WRITE_TIMEOUT_MS", options.write_timeout_ms, 1);
+  options.max_k = EnvNumber("KGC_SERVE_MAX_K", options.max_k, 1);
   return options;
 }
 
@@ -294,9 +277,8 @@ void Server::BatchLoop() {
   static obs::HdrHistogram& batch_seconds =
       registry.GetDurationHistogram(obs::kServeBatchSeconds);
   while (true) {
-    std::vector<PendingRequest> batch = queue_.PopBatch(
-        static_cast<size_t>(std::max(options_.max_batch, 1)),
-        std::chrono::microseconds(std::max(options_.linger_us, 0)));
+    std::vector<PendingRequest> batch =
+        queue_.PopBatch(static_cast<size_t>(std::max(options_.max_batch, 1)));
     depth.Set(static_cast<double>(queue_.size()));
     if (batch.empty()) break;  // queue closed and drained
     const auto batch_start = std::chrono::steady_clock::now();

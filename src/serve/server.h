@@ -56,11 +56,11 @@ struct ServeOptions {
   int queue_capacity = 256;
   /// Most requests popped, and scored in one engine run, per batch.
   int max_batch = 32;
-  /// How long a non-full batch waits for stragglers. 0 scores whatever is
-  /// queued at once: at served rates few requests arrive within a linger,
-  /// and those that do are spread over many (direction, relation) groups,
-  /// so they rarely share a sweep.
-  int linger_us = 0;
+  /// A batch never waits for stragglers; it scores whatever is queued at
+  /// once. At served rates few requests arrive within a linger, and those
+  /// that do are spread over many (direction, relation) groups, so they
+  /// rarely share a sweep. Kept for kgcbench's provenance key.
+  static constexpr int linger_us = 0;
   /// Request deadline when the client passes 0.
   int default_deadline_ms = 1000;
   /// Per-reply write budget; overrun drops the client.
@@ -76,10 +76,9 @@ struct ServeOptions {
   uint64_t classify_seed = 99;
 
   /// Defaults overlaid with KGC_SERVE_MAX_CONNECTIONS, KGC_SERVE_QUEUE,
-  /// KGC_SERVE_MAX_BATCH, KGC_SERVE_LINGER_US, KGC_SERVE_DEADLINE_MS,
-  /// KGC_SERVE_WRITE_TIMEOUT_MS and KGC_SERVE_MAX_K. Each must be a whole
-  /// decimal value, at least 0 for the linger and at least 1 for the rest.
-  /// A bad value warns on stderr and keeps the default.
+  /// KGC_SERVE_MAX_BATCH, KGC_SERVE_DEADLINE_MS, KGC_SERVE_WRITE_TIMEOUT_MS
+  /// and KGC_SERVE_MAX_K. Each must be a whole decimal value of at least 1
+  /// (obs/env.h); a bad value warns on stderr and keeps the default.
   static ServeOptions FromEnv();
 };
 

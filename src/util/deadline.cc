@@ -3,9 +3,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <mutex>
+#include <string>
 #include <thread>
 
+#include "obs/env.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/resource_stats.h"
@@ -18,13 +19,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// All state is process-global: one budget, one phase clock, one heartbeat.
-// Atomics + a mutex on the heartbeat string keep concurrent readers (a
-// crash handler on another thread) safe even though writers are serial.
+// All state is process-global: one budget, one phase clock. Writers are
+// serial; the atomics keep a reader on another thread safe.
 std::atomic<double> g_budget_seconds{0.0};
 std::atomic<int64_t> g_phase_start_ns{0};
-std::mutex g_heartbeat_mutex;
-std::string g_heartbeat;  // guarded by g_heartbeat_mutex
 
 std::atomic<DeadlineHandler> g_test_handler{nullptr};
 
@@ -34,21 +32,14 @@ int64_t NowNanos() {
       .count();
 }
 
-void RecordHeartbeat(const char* name) {
-  std::lock_guard<std::mutex> lock(g_heartbeat_mutex);
-  g_heartbeat = name;
-}
-
 }  // namespace
 
 Deadline::Deadline() {
-  if (const char* env = std::getenv("KGC_PHASE_TIMEOUT_S")) {
-    const double seconds = std::atof(env);
-    if (seconds > 0) {
-      g_budget_seconds.store(seconds, std::memory_order_relaxed);
-      LogInfo("phase deadline armed: %.1fs per phase (KGC_PHASE_TIMEOUT_S)",
-              seconds);
-    }
+  const double seconds = obs::EnvNumber("KGC_PHASE_TIMEOUT_S", 0.0, 0.0);
+  if (seconds > 0) {
+    g_budget_seconds.store(seconds, std::memory_order_relaxed);
+    LogInfo("phase deadline armed: %.1fs per phase (KGC_PHASE_TIMEOUT_S)",
+            seconds);
   }
 }
 
@@ -57,7 +48,7 @@ Deadline& Deadline::Global() {
   return *deadline;
 }
 
-void Deadline::SetPhaseBudget(double seconds) {
+void Deadline::SetPhaseBudgetForTest(double seconds) {
   g_budget_seconds.store(seconds, std::memory_order_relaxed);
 }
 
@@ -67,7 +58,6 @@ double Deadline::phase_budget() const {
 
 void Deadline::BeginPhase(const char* name) {
   g_phase_start_ns.store(NowNanos(), std::memory_order_relaxed);
-  RecordHeartbeat(name);
   // Phase boundaries double as resource-accounting boundaries: opening a
   // phase closes the previous one, so the run report's per-phase CPU /
   // fault / I/O deltas partition the run exactly like the deadline phases.
@@ -83,11 +73,6 @@ double Deadline::PhaseElapsedSeconds() const {
 bool Deadline::Expired() const {
   const double budget = phase_budget();
   return budget > 0 && PhaseElapsedSeconds() > budget;
-}
-
-std::string Deadline::last_heartbeat() const {
-  std::lock_guard<std::mutex> lock(g_heartbeat_mutex);
-  return g_heartbeat;
 }
 
 DeadlinePhase::DeadlinePhase(const char* name) {
@@ -117,7 +102,6 @@ void HandleDeadlineExpiry(const char* phase) {
 
 bool PhaseCheck(const char* phase) {
   if (InParallelRegion()) return false;
-  RecordHeartbeat(phase);
   FaultInjector& faults = FaultInjector::Get();
   int64_t stall_ms = 0;
   if (faults.ShouldFail(FaultKind::kStall, &stall_ms)) {

@@ -1,4 +1,4 @@
-// Phase deadlines and heartbeats: in-process watchdog for long phases.
+// Phase deadlines: in-process watchdog for long phases.
 //
 // A worker process (bench binary, example, test) runs a handful of long
 // phases — training, ranking, rule mining. The external supervisor
@@ -12,28 +12,25 @@
 // as "timed out but resumable", so the retry continues instead of
 // restarting.
 //
-// Configuration: `KGC_PHASE_TIMEOUT_S=<seconds>` (read once, on first use)
-// or SetPhaseBudget(). Zero/unset disables every check. The budget applies
-// per phase: BeginPhase (usually via the DeadlinePhase RAII guard) restarts
-// the clock, so "train FB15k-syn" and "rank FB15k-syn" each get the full
-// budget.
+// Configuration: `KGC_PHASE_TIMEOUT_S=<seconds>` (read once, on first use;
+// parsed strictly, see obs/env.h). Zero/unset disables every check. The
+// budget applies per phase: BeginPhase (usually via the DeadlinePhase RAII
+// guard) restarts the clock, so "train FB15k-syn" and "rank FB15k-syn" each
+// get the full budget.
 //
 // PhaseBoundary(name) is the check-in. It
-//   1. records `name` as the latest heartbeat (crash reports include it),
-//   2. services the `stall` / `crash` failpoints (util/fault_injector.h) so
+//   1. services the `stall` / `crash` failpoints (util/fault_injector.h) so
 //      watchdog and crash recovery are testable end to end, and
-//   3. when the phase budget is exhausted, invokes the deadline handler —
+//   2. when the phase budget is exhausted, invokes the deadline handler —
 //      by default: log, record the exit cause, std::exit(kDeadlineExitCode)
 //      (running atexit hooks, which flush the run report).
 //
 // Checks are serial-path only: inside a ParallelFor worker PhaseBoundary
-// is a heartbeat-free no-op, so a deadline can never tear a parallel
-// region (the boundary after the join catches it).
+// is a no-op, so a deadline can never tear a parallel region (the boundary
+// after the join catches it).
 
 #ifndef KGC_UTIL_DEADLINE_H_
 #define KGC_UTIL_DEADLINE_H_
-
-#include <string>
 
 namespace kgc {
 
@@ -49,11 +46,13 @@ class Deadline {
   static Deadline& Global();
 
   /// Per-phase wall-clock budget in seconds; <= 0 disables all checks.
-  void SetPhaseBudget(double seconds);
+  /// Production sets it only through KGC_PHASE_TIMEOUT_S.
+  void SetPhaseBudgetForTest(double seconds);
   double phase_budget() const;
   bool enabled() const { return phase_budget() > 0; }
 
-  /// Restarts the phase clock and records the phase name.
+  /// Restarts the phase clock and opens the phase's resource accounting
+  /// (obs/resource_stats.h) under `name`.
   void BeginPhase(const char* name);
 
   /// Seconds since the last BeginPhase (0 before the first).
@@ -61,10 +60,6 @@ class Deadline {
 
   /// True when a budget is set and the current phase has exceeded it.
   bool Expired() const;
-
-  /// The most recent PhaseBoundary / BeginPhase name ("" before the
-  /// first). Crash reports carry it as the last known location.
-  std::string last_heartbeat() const;
 
  private:
   Deadline();
@@ -78,9 +73,8 @@ class DeadlinePhase {
   explicit DeadlinePhase(const char* name);
 };
 
-/// Phase check-in without the exit: records the heartbeat, services the
-/// stall/crash failpoints, and returns whether the phase deadline has
-/// expired. For callers that must persist state before exiting (the
+/// Phase check-in without the exit: services the stall/crash failpoints
+/// and returns whether the phase deadline has expired. For callers that must persist state before exiting (the
 /// trainer saves a checkpoint first, then calls HandleDeadlineExpiry).
 bool PhaseCheck(const char* phase);
 

@@ -3,22 +3,10 @@
 #include <cstdlib>
 
 #include "obs/metrics.h"
-#include "obs/resource_stats.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace kgc {
-namespace {
-
-// Bridge for the obs-layer telemetry failpoints ("obs:procfs",
-// "obs:rusage", "obs:perf"): obs cannot depend on this injector (it is the
-// lowest layer), so it exposes a hook that we route into the site
-// registry. Armed via e.g. KGC_FAULTS=enospc@obs:procfs:times=3.
-bool TelemetryFailpointBridge(const char* site) {
-  return FaultInjector::Get().ShouldFailAt(site);
-}
-
-}  // namespace
 
 bool ParseFaultKind(const std::string& name, FaultKind* kind) {
   if (name == "torn_write") {
@@ -47,7 +35,6 @@ FaultInjector& FaultInjector::Get() {
     if (const char* spec = std::getenv("KGC_FAULTS")) {
       instance->ArmFromSpec(spec);
     }
-    obs::SetTelemetryFailpoint(&TelemetryFailpointBridge);
     return instance;
   }();
   return *injector;
@@ -60,11 +47,7 @@ void FaultInjector::Arm(FaultKind kind, int times, int skip, int64_t payload) {
   slot.payload = payload;
 }
 
-void FaultInjector::Disarm(FaultKind kind) {
-  slots_[static_cast<size_t>(kind)] = Slot{};
-}
-
-void FaultInjector::DisarmAll() {
+void FaultInjector::DisarmAllForTest() {
   for (Slot& slot : slots_) slot = Slot{};
   sites_.clear();
 }
@@ -78,16 +61,11 @@ void FaultInjector::ArmSite(const std::string& site, FaultKind kind,
   entry.slot.payload = payload;
 }
 
-void FaultInjector::DisarmSite(const std::string& site) {
-  sites_.erase(site);
-}
-
 bool FaultInjector::ShouldFailAt(const std::string& site, FaultKind* kind,
                                  int64_t* payload) {
   auto it = sites_.find(site);
   if (it == sites_.end()) return false;
   SiteSlot& entry = it->second;
-  ++entry.slot.seen;
   if (entry.slot.times <= 0) return false;
   if (entry.slot.skip > 0) {
     --entry.slot.skip;
@@ -102,14 +80,8 @@ bool FaultInjector::ShouldFailAt(const std::string& site, FaultKind* kind,
   return true;
 }
 
-int FaultInjector::site_times_remaining(const std::string& site) const {
-  auto it = sites_.find(site);
-  return it == sites_.end() ? 0 : it->second.slot.times;
-}
-
 bool FaultInjector::ShouldFail(FaultKind kind, int64_t* payload) {
   Slot& slot = slots_[static_cast<size_t>(kind)];
-  ++slot.seen;
   if (slot.times <= 0) return false;
   if (slot.skip > 0) {
     --slot.skip;
@@ -123,11 +95,7 @@ bool FaultInjector::ShouldFail(FaultKind kind, int64_t* payload) {
   return true;
 }
 
-int64_t FaultInjector::ops_seen(FaultKind kind) const {
-  return slots_[static_cast<size_t>(kind)].seen;
-}
-
-int FaultInjector::times_remaining(FaultKind kind) const {
+int FaultInjector::TimesRemainingForTest(FaultKind kind) const {
   return slots_[static_cast<size_t>(kind)].times;
 }
 

@@ -76,18 +76,15 @@ class FaultInjector {
   /// write: bytes persisted before failing).
   void Arm(FaultKind kind, int times = 1, int skip = 0, int64_t payload = 0);
 
-  void Disarm(FaultKind kind);
-  void DisarmAll();
+  /// Disarms every kind and site.
+  void DisarmAllForTest();
 
   /// True and consumes one armed failure if the operation should fail;
   /// `payload` (may be null) receives the armed payload.
   bool ShouldFail(FaultKind kind, int64_t* payload = nullptr);
 
-  /// Total matching operations consulted since construction / DisarmAll.
-  int64_t ops_seen(FaultKind kind) const;
-
   /// Remaining failures armed for `kind` (0 = disarmed or exhausted).
-  int times_remaining(FaultKind kind) const;
+  int TimesRemainingForTest(FaultKind kind) const;
 
   /// Arms failpoints from a spec string (see header comment). Unknown or
   /// malformed entries are skipped; returns false if any were.
@@ -99,15 +96,10 @@ class FaultInjector {
   void ArmSite(const std::string& site, FaultKind kind, int times = 1,
                int skip = 0, int64_t payload = 0);
 
-  void DisarmSite(const std::string& site);
-
   /// True and consumes one armed failure if the named site should fail;
   /// `kind` / `payload` (may be null) receive what was armed.
   bool ShouldFailAt(const std::string& site, FaultKind* kind = nullptr,
                     int64_t* payload = nullptr);
-
-  /// Remaining failures armed for `site` (0 = disarmed or exhausted).
-  int site_times_remaining(const std::string& site) const;
 
  private:
   FaultInjector() = default;
@@ -116,7 +108,6 @@ class FaultInjector {
     int times = 0;
     int skip = 0;
     int64_t payload = 0;
-    int64_t seen = 0;
   };
   struct SiteSlot {
     FaultKind kind = FaultKind::kEnospc;

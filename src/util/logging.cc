@@ -30,7 +30,7 @@ int ResolveLevel() {
     } else {
       std::fprintf(stderr,
                    "[WARN] KGC_LOG_LEVEL: unknown level '%s' "
-                   "(expected debug|info|warning|error)\n",
+                   "(expected info|warning|error)\n",
                    env);
     }
   }
@@ -68,17 +68,13 @@ void SetLogLevel(LogLevel level) {
   g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel GetLogLevel() { return static_cast<LogLevel>(ResolveLevel()); }
-
 bool ParseLogLevel(const std::string& name, LogLevel* level) {
   std::string lower;
   lower.reserve(name.size());
   for (char c : name) {
     lower += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
-  if (lower == "debug") {
-    *level = LogLevel::kDebug;
-  } else if (lower == "info") {
+  if (lower == "info") {
     *level = LogLevel::kInfo;
   } else if (lower == "warning" || lower == "warn") {
     *level = LogLevel::kWarning;
@@ -98,7 +94,6 @@ bool ParseLogLevel(const std::string& name, LogLevel* level) {
     va_end(args);                                   \
   }
 
-KGC_DEFINE_LOG_FN(LogDebug, LogLevel::kDebug, "DEBUG")
 KGC_DEFINE_LOG_FN(LogInfo, LogLevel::kInfo, "INFO")
 KGC_DEFINE_LOG_FN(LogWarning, LogLevel::kWarning, "WARN")
 KGC_DEFINE_LOG_FN(LogError, LogLevel::kError, "ERROR")

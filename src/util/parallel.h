@@ -38,7 +38,8 @@
 
 namespace kgc {
 
-/// Threads from KGC_THREADS (if >= 1) else hardware_concurrency; always >= 1.
+/// Threads from KGC_THREADS (a whole number >= 1, see obs/env.h) else
+/// hardware_concurrency; always >= 1.
 int DefaultThreadCount();
 
 namespace internal_parallel {

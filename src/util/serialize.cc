@@ -30,7 +30,6 @@ void BinaryWriter::Append(const void* data, size_t size) {
 void BinaryWriter::WriteU32(uint32_t value) { Append(&value, sizeof(value)); }
 void BinaryWriter::WriteU64(uint64_t value) { Append(&value, sizeof(value)); }
 void BinaryWriter::WriteDouble(double value) { Append(&value, sizeof(value)); }
-void BinaryWriter::WriteFloat(float value) { Append(&value, sizeof(value)); }
 
 void BinaryWriter::WriteFloatVector(std::span<const float> values) {
   WriteU64(values.size());
@@ -120,12 +119,6 @@ StatusOr<int64_t> BinaryReader::ReadI64() {
 
 StatusOr<double> BinaryReader::ReadDouble() {
   double value = 0;
-  KGC_RETURN_IF_ERROR(ReadBytes(&value, sizeof(value)));
-  return value;
-}
-
-StatusOr<float> BinaryReader::ReadFloat() {
-  float value = 0;
   KGC_RETURN_IF_ERROR(ReadBytes(&value, sizeof(value)));
   return value;
 }

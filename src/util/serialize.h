@@ -29,7 +29,6 @@ class BinaryWriter {
   void WriteI32(int32_t value) { WriteU32(static_cast<uint32_t>(value)); }
   void WriteI64(int64_t value) { WriteU64(static_cast<uint64_t>(value)); }
   void WriteDouble(double value);
-  void WriteFloat(float value);
   void WriteFloatVector(std::span<const float> values);
 
   const std::vector<uint8_t>& buffer() const { return buffer_; }
@@ -61,7 +60,6 @@ class BinaryReader {
   StatusOr<int32_t> ReadI32();
   StatusOr<int64_t> ReadI64();
   StatusOr<double> ReadDouble();
-  StatusOr<float> ReadFloat();
   StatusOr<std::vector<float>> ReadFloatVector();
 
   bool AtEnd() const { return position_ == buffer_.size(); }

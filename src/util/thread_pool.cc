@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
-#include <cstdlib>
-
+#include "obs/env.h"
 #include "util/parallel.h"
 
 namespace kgc {
@@ -32,7 +31,7 @@ void ThreadPool::EnsureWorkers(int num_workers) {
   }
 }
 
-int ThreadPool::num_workers() const {
+int ThreadPool::NumWorkersForTest() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return static_cast<int>(workers_.size());
 }
@@ -63,12 +62,9 @@ ThreadPool& ThreadPool::Shared() {
 
 int DefaultThreadCount() {
   static const int count = [] {
-    if (const char* env = std::getenv("KGC_THREADS")) {
-      const int parsed = std::atoi(env);
-      if (parsed >= 1) return parsed;
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw >= 1 ? static_cast<int>(hw) : 1;
+    return obs::EnvNumber("KGC_THREADS", hw >= 1 ? static_cast<int>(hw) : 1,
+                          1);
   }();
   return count;
 }

@@ -41,7 +41,7 @@ class ThreadPool {
   /// Grows the pool to at least `num_workers` threads. Thread-safe.
   void EnsureWorkers(int num_workers);
 
-  int num_workers() const;
+  int NumWorkersForTest() const;
 
   /// The process-wide pool shared by all ParallelFor calls. Created on
   /// first use with DefaultThreadCount() - 1 workers (the calling thread

@@ -151,9 +151,9 @@ TEST(ExperimentContextTest, WarmRanksHonoursPhaseDeadlineAtEveryThreadCount) {
     g_warm_deadline_phases.clear();
     SetDeadlineHandlerForTest(RecordWarmDeadline);
     // One nanosecond: every boundary observes an already-expired clock.
-    Deadline::Global().SetPhaseBudget(1e-9);
+    Deadline::Global().SetPhaseBudgetForTest(1e-9);
     context.WarmRanks(tiny.dataset, types);
-    Deadline::Global().SetPhaseBudget(0);
+    Deadline::Global().SetPhaseBudgetForTest(0);
     SetDeadlineHandlerForTest(nullptr);
 
     ASSERT_FALSE(g_warm_deadline_phases.empty());

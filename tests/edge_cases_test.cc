@@ -54,7 +54,8 @@ TEST(EdgeCaseTest, SingleEntityRanking) {
   vocab.InternEntity("b");
   vocab.InternRelation("r");
   Dataset dataset("d", vocab, {{0, 0, 1}}, {}, {{1, 0, 0}});
-  const SimpleRuleModel model(dataset.train_store(), 0.8);
+  const SimpleRuleModel model(dataset.train_store(),
+                              RedundancyCatalog::Detect(dataset.train_store()));
   const auto ranks = RankTriples(model, dataset, dataset.test());
   ASSERT_EQ(ranks.size(), 1u);
   EXPECT_GE(ranks[0].head_raw, 1.0);
@@ -172,7 +173,8 @@ TEST(EdgeCaseTest, RankerPreservesInputOrderDespiteRelationGrouping) {
   vocab.InternRelation("b");
   Dataset dataset("d", vocab, {{0, 0, 1}, {2, 1, 3}}, {},
                   {{2, 1, 3}, {0, 0, 1}, {4, 1, 5}});
-  const SimpleRuleModel model(dataset.train_store(), 0.8);
+  const SimpleRuleModel model(dataset.train_store(),
+                              RedundancyCatalog::Detect(dataset.train_store()));
   const auto ranks = RankTriples(model, dataset, dataset.test());
   ASSERT_EQ(ranks.size(), 3u);
   EXPECT_EQ(ranks[0].triple, (Triple{2, 1, 3}));

@@ -169,9 +169,9 @@ TEST(RankerTest, DeadlineChecksBetweenPassesLeaveResultsIntact) {
   g_ranker_deadline_hits = 0;
   // One nanosecond: the stub sweep outruns any human-scale budget, and the
   // point is only that the boundary observes an already-expired clock.
-  Deadline::Global().SetPhaseBudget(1e-9);
+  Deadline::Global().SetPhaseBudgetForTest(1e-9);
   const auto ranks = RankTriples(predictor, dataset, dataset.test());
-  Deadline::Global().SetPhaseBudget(0);
+  Deadline::Global().SetPhaseBudgetForTest(0);
   SetDeadlineHandlerForTest(nullptr);
 
   EXPECT_GE(g_ranker_deadline_hits, 1);  // rank_pass, then rank_done

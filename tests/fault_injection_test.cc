@@ -1,6 +1,6 @@
 // Fault-injection suite: drives the artifact cache, the trainer and the
 // experiment context through torn writes, short reads, ENOSPC, rename
-// failures, file corruption and simulated mid-training kills, and asserts
+// failures, file corruption and mid-training crashes, and asserts
 // that every bench-facing API degrades gracefully — clean Status errors,
 // quarantined artifacts, transparent regeneration, and checkpoint resume
 // that reproduces the uninterrupted run bit-for-bit.
@@ -54,8 +54,8 @@ void RawWrite(const std::string& path, const std::vector<uint8_t>& bytes) {
 // Every test starts and ends with all failpoints disarmed.
 class FaultInjectionTest : public ::testing::Test {
  protected:
-  void SetUp() override { FaultInjector::Get().DisarmAll(); }
-  void TearDown() override { FaultInjector::Get().DisarmAll(); }
+  void SetUp() override { FaultInjector::Get().DisarmAllForTest(); }
+  void TearDown() override { FaultInjector::Get().DisarmAllForTest(); }
 };
 
 // --- FaultInjector itself ----------------------------------------------
@@ -63,13 +63,13 @@ class FaultInjectionTest : public ::testing::Test {
 TEST_F(FaultInjectionTest, SpecParsing) {
   FaultInjector& faults = FaultInjector::Get();
   EXPECT_TRUE(faults.ArmFromSpec("torn_write:bytes=64,short_read:times=2"));
-  EXPECT_EQ(faults.times_remaining(FaultKind::kTornWrite), 1);
-  EXPECT_EQ(faults.times_remaining(FaultKind::kShortRead), 2);
+  EXPECT_EQ(faults.TimesRemainingForTest(FaultKind::kTornWrite), 1);
+  EXPECT_EQ(faults.TimesRemainingForTest(FaultKind::kShortRead), 2);
   int64_t payload = 0;
   EXPECT_TRUE(faults.ShouldFail(FaultKind::kTornWrite, &payload));
   EXPECT_EQ(payload, 64);
   EXPECT_FALSE(faults.ShouldFail(FaultKind::kTornWrite));
-  faults.DisarmAll();
+  faults.DisarmAllForTest();
 
   EXPECT_FALSE(faults.ArmFromSpec("no_such_fault"));
   EXPECT_FALSE(faults.ArmFromSpec("enospc:bogus"));
@@ -84,14 +84,14 @@ TEST_F(FaultInjectionTest, SpecParsing) {
 TEST_F(FaultInjectionTest, StallAndCrashSpecsParse) {
   FaultInjector& faults = FaultInjector::Get();
   EXPECT_TRUE(faults.ArmFromSpec("stall:times=2:ms=40,crash:times=1"));
-  EXPECT_EQ(faults.times_remaining(FaultKind::kStall), 2);
-  EXPECT_EQ(faults.times_remaining(FaultKind::kCrash), 1);
+  EXPECT_EQ(faults.TimesRemainingForTest(FaultKind::kStall), 2);
+  EXPECT_EQ(faults.TimesRemainingForTest(FaultKind::kCrash), 1);
   int64_t payload = 0;
   EXPECT_TRUE(faults.ShouldFail(FaultKind::kStall, &payload));
   EXPECT_EQ(payload, 40);
-  faults.DisarmAll();
+  faults.DisarmAllForTest();
   EXPECT_TRUE(faults.ArmFromSpec("mkdir_fail:times=1"));
-  EXPECT_EQ(faults.times_remaining(FaultKind::kMkdirFail), 1);
+  EXPECT_EQ(faults.TimesRemainingForTest(FaultKind::kMkdirFail), 1);
 }
 
 // --- Phase-boundary failpoints (stall / crash) ---------------------------
@@ -410,21 +410,22 @@ TEST_P(ResumeTest, KilledRunResumesToIdenticalResult) {
                   kg.dataset.num_relations(), params);
   const TrainStats reference = TrainModel(*uninterrupted, kg.dataset, options);
 
-  // Killed run: checkpoint every epoch, die after epoch 3, then resume with
-  // a brand-new process (modelled by a brand-new model instance).
+  // Killed run: checkpoint every epoch, and a child process that aborts at
+  // the third epoch's phase boundary, right after that epoch's checkpoint
+  // landed. Then resume in this process with a brand-new model instance.
   const std::string ckpt = TempPath("kgc_fi_resume.ckpt");
   std::remove(ckpt.c_str());
   options.checkpoint_path = ckpt;
   options.checkpoint_every = 1;
-  options.abort_after_epoch = 3;
-  {
-    auto killed = CreateModel(type, kg.dataset.num_entities(),
-                              kg.dataset.num_relations(), params);
-    const TrainStats partial = TrainModel(*killed, kg.dataset, options);
-    EXPECT_EQ(partial.epochs_run, 3);
-    EXPECT_TRUE(FileExists(ckpt));
-  }
-  options.abort_after_epoch = 0;
+  EXPECT_DEATH(
+      {
+        FaultInjector::Get().Arm(FaultKind::kCrash, /*times=*/1, /*skip=*/2);
+        auto killed = CreateModel(type, kg.dataset.num_entities(),
+                                  kg.dataset.num_relations(), params);
+        TrainModel(*killed, kg.dataset, options);
+      },
+      "");
+  EXPECT_TRUE(FileExists(ckpt));
   auto resumed = CreateModel(type, kg.dataset.num_entities(),
                              kg.dataset.num_relations(), params);
   const TrainStats stats = TrainModel(*resumed, kg.dataset, options);
@@ -464,24 +465,27 @@ TEST_F(FaultInjectionTest, MismatchedCheckpointIsQuarantinedNotTrusted) {
   std::remove(ckpt.c_str());
   std::remove((ckpt + ".corrupt").c_str());
 
-  // Leave a checkpoint behind from a run with a different seed.
+  // Leave a checkpoint behind from a run with a different seed, killed at
+  // the second epoch's phase boundary.
   TrainOptions options;
   options.epochs = 6;
   options.seed = 9;
   options.checkpoint_path = ckpt;
   options.checkpoint_every = 1;
-  options.abort_after_epoch = 2;
-  {
-    auto model = CreateModel(ModelType::kTransE, kg.dataset.num_entities(),
-                             kg.dataset.num_relations(), params);
-    TrainModel(*model, kg.dataset, options);
-    ASSERT_TRUE(FileExists(ckpt));
-  }
+  EXPECT_DEATH(
+      {
+        FaultInjector::Get().Arm(FaultKind::kCrash, /*times=*/1, /*skip=*/1);
+        auto model = CreateModel(ModelType::kTransE,
+                                 kg.dataset.num_entities(),
+                                 kg.dataset.num_relations(), params);
+        TrainModel(*model, kg.dataset, options);
+      },
+      "");
+  ASSERT_TRUE(FileExists(ckpt));
 
   // A run with a different seed must not resume from it; it trains from
   // scratch and matches a checkpoint-free run with its own seed.
   options.seed = 77;
-  options.abort_after_epoch = 0;
   auto fresh = CreateModel(ModelType::kTransE, kg.dataset.num_entities(),
                            kg.dataset.num_relations(), params);
   TrainOptions no_ckpt = options;
@@ -550,7 +554,7 @@ TEST_F(FaultInjectionTest, HarnessSurvivesFaultsAndStaysCorrect) {
     const double fmrr =
         ComputeMetrics(context.GetRanks(tiny.dataset, ModelType::kTransE))
             .fmrr;
-    FaultInjector::Get().DisarmAll();
+    FaultInjector::Get().DisarmAllForTest();
     EXPECT_EQ(fmrr, reference_fmrr);
   }
 
@@ -563,7 +567,7 @@ TEST_F(FaultInjectionTest, HarnessSurvivesFaultsAndStaysCorrect) {
     const double fmrr =
         ComputeMetrics(context.GetRanks(tiny.dataset, ModelType::kTransE))
             .fmrr;
-    FaultInjector::Get().DisarmAll();
+    FaultInjector::Get().DisarmAllForTest();
     EXPECT_EQ(fmrr, reference_fmrr);
   }
 

@@ -8,6 +8,7 @@
 #include "eval/ranker.h"
 #include "models/trainer.h"
 #include "redundancy/cleaner.h"
+#include "redundancy/detectors.h"
 #include "rules/cartesian_predictor.h"
 #include "rules/simple_rule_model.h"
 #include "util/string_util.h"
@@ -89,7 +90,8 @@ TEST(IntegrationTest, SimpleRuleModelMatchesEmbeddingsOnLeakyData) {
   // Paper §4.2.1 / Table 13: the trivial reverse-rule model is competitive
   // with (here: beats) trained embedding models on leak-dominated data.
   const SyntheticKg kg = LeakyKg();
-  const SimpleRuleModel simple(kg.dataset.all_store(), 0.8);
+  const TripleStore& all = kg.dataset.all_store();
+  const SimpleRuleModel simple(all, RedundancyCatalog::Detect(all));
   const LinkPredictionMetrics simple_metrics =
       EvaluatePredictor(simple, kg.dataset);
   EXPECT_GT(simple_metrics.fhits1, 0.5);

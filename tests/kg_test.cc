@@ -46,14 +46,6 @@ TEST(VocabTest, InternIsIdempotent) {
   EXPECT_EQ(vocab.EntityName(a), "alice");
 }
 
-TEST(VocabTest, FindMissingReturnsNegative) {
-  Vocab vocab;
-  vocab.InternRelation("knows");
-  EXPECT_EQ(vocab.FindRelation("knows"), 0);
-  EXPECT_EQ(vocab.FindRelation("likes"), -1);
-  EXPECT_EQ(vocab.FindEntity("anyone"), -1);
-}
-
 class TripleStoreTest : public ::testing::Test {
  protected:
   // 4 entities, 2 relations:

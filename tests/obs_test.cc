@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
@@ -17,6 +18,7 @@
 #include "datagen/presets.h"
 #include "eval/ranker.h"
 #include "models/trainer.h"
+#include "obs/env.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -364,6 +366,57 @@ TEST(ReportTest, AppendAccumulatesJsonlLines) {
   }
   EXPECT_EQ(lines, 2);
   std::remove(path.c_str());
+}
+
+// --- Numeric environment variables ----------------------------------------
+
+TEST(EnvTest, NumbersParseWholeOrNotAtAll) {
+  EXPECT_EQ(obs::ParseNumber<int>("4"), 4);
+  EXPECT_EQ(obs::ParseNumber<int>("-1"), -1);
+  EXPECT_EQ(obs::ParseNumber<int>("0"), 0);
+  for (const char* text : {"4x", "abc", "1e3", " 4", "+4", "", "99999999999"}) {
+    EXPECT_FALSE(obs::ParseNumber<int>(text).has_value()) << text;
+  }
+  EXPECT_EQ(obs::ParseNumber<double>("1e3"), 1000.0);
+  EXPECT_EQ(obs::ParseNumber<double>("0.01"), 0.01);
+  for (const char* text : {"nan", "inf", "0.5x", " 1"}) {
+    EXPECT_FALSE(obs::ParseNumber<double>(text).has_value()) << text;
+  }
+}
+
+// Sets OBS_ENV_TEST_NUMBER to `value`, reads it with EnvNumber, and returns
+// the value read plus what EnvNumber printed on stderr.
+template <typename T>
+std::pair<T, std::string> ReadTestNumber(const char* value, T fallback, T min,
+                                         bool min_exclusive = false) {
+  ::setenv("OBS_ENV_TEST_NUMBER", value, 1);
+  ::testing::internal::CaptureStderr();
+  const T read = obs::EnvNumber("OBS_ENV_TEST_NUMBER", fallback, min,
+                                min_exclusive);
+  std::string err = ::testing::internal::GetCapturedStderr();
+  ::unsetenv("OBS_ENV_TEST_NUMBER");
+  return {read, std::move(err)};
+}
+
+TEST(EnvTest, BadValuesWarnOnceAndKeepTheDefault) {
+  EXPECT_EQ(ReadTestNumber("4", 7, 1), std::make_pair(4, std::string()));
+  EXPECT_EQ(ReadTestNumber("", 7, 1), std::make_pair(7, std::string()));
+  // A prefix parse (atoi, atof) reads "4x" as 4 threads, "abc" as a
+  // watchdog switched off and "1e3" as an exporter tick every millisecond.
+  for (const char* value : {"4x", "abc", "1e3", "-1", "0", " 4"}) {
+    const auto [read, err] = ReadTestNumber(value, 7, 1);
+    EXPECT_EQ(read, 7) << value;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << value;
+  }
+  EXPECT_EQ(ReadTestNumber("4x", 7, 1).second,
+            "[kgc] ignoring OBS_ENV_TEST_NUMBER=\"4x\" (expected an integer "
+            ">= 1); using 7\n");
+
+  EXPECT_EQ(ReadTestNumber("1e3", 0.0, 0.0).first, 1000.0);
+  EXPECT_EQ(ReadTestNumber("0", 5.0, 0.0).first, 0.0);
+  EXPECT_EQ(ReadTestNumber("0", 1.0, 0.0, /*min_exclusive=*/true).second,
+            "[kgc] ignoring OBS_ENV_TEST_NUMBER=\"0\" (expected a finite "
+            "number > 0); using 1\n");
 }
 
 }  // namespace

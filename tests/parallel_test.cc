@@ -91,7 +91,7 @@ TEST(ThreadPoolTest, RunsAllSubmittedJobsBeforeShutdown) {
   std::atomic<int> count{0};
   {
     ThreadPool pool(2);
-    EXPECT_EQ(pool.num_workers(), 2);
+    EXPECT_EQ(pool.NumWorkersForTest(), 2);
     for (int i = 0; i < 100; ++i) pool.Submit([&] { ++count; });
   }  // destructor drains the queue
   EXPECT_EQ(count.load(), 100);
@@ -99,15 +99,15 @@ TEST(ThreadPoolTest, RunsAllSubmittedJobsBeforeShutdown) {
 
 TEST(ThreadPoolTest, EnsureWorkersGrowsButNeverShrinks) {
   ThreadPool pool(0);
-  EXPECT_EQ(pool.num_workers(), 0);
+  EXPECT_EQ(pool.NumWorkersForTest(), 0);
   pool.EnsureWorkers(3);
-  EXPECT_EQ(pool.num_workers(), 3);
+  EXPECT_EQ(pool.NumWorkersForTest(), 3);
   pool.EnsureWorkers(1);
-  EXPECT_EQ(pool.num_workers(), 3);
+  EXPECT_EQ(pool.NumWorkersForTest(), 3);
   std::atomic<int> count{0};
   for (int i = 0; i < 10; ++i) pool.Submit([&] { ++count; });
   pool.EnsureWorkers(4);
-  EXPECT_EQ(pool.num_workers(), 4);
+  EXPECT_EQ(pool.NumWorkersForTest(), 4);
 }
 
 // --- Shared fixtures -------------------------------------------------------

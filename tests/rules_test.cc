@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "redundancy/detectors.h"
 #include "rules/amie.h"
 #include "rules/cartesian_predictor.h"
 #include "rules/simple_rule_model.h"
@@ -149,7 +150,7 @@ TEST(SimpleRuleModelTest, PredictsViaReversePartner) {
     triples.push_back({static_cast<EntityId>(i + 1), 1, i});
   }
   const TripleStore store(triples, 6, 2);
-  const SimpleRuleModel model(store, 0.8);
+  const SimpleRuleModel model(store, RedundancyCatalog::Detect(store));
 
   std::vector<float> scores(6);
   // (0, r0, ?): reverse partner r1 has (1, r1, 0) -> predict 1.
@@ -183,12 +184,22 @@ TEST(SimpleRuleModelTest, PredictsViaDuplicateAndSymmetric) {
 
 // --- CartesianPredictor ------------------------------------------------
 
+// The relations FindCartesianRelations detects on `store`, as the benches
+// hand them to the predictor.
+std::vector<RelationId> DetectedCartesianRelations(const TripleStore& store) {
+  std::vector<RelationId> relations;
+  for (const CartesianEvidence& e : FindCartesianRelations(store)) {
+    relations.push_back(e.relation);
+  }
+  return relations;
+}
+
 TEST(CartesianPredictorTest, PredictsFullProduct) {
   // r0 is Cartesian {0,1} x {4,5,6} with one pair (1,6) missing from the
   // observed data (density 5/6 > 0.8).
   TripleList triples = {{0, 0, 4}, {0, 0, 5}, {0, 0, 6}, {1, 0, 4}, {1, 0, 5}};
   const TripleStore store(triples, 8, 1);
-  const CartesianPredictor predictor(store);
+  const CartesianPredictor predictor(store, DetectedCartesianRelations(store));
   ASSERT_TRUE(predictor.IsCartesian(0));
 
   std::vector<float> scores(8);
@@ -205,38 +216,12 @@ TEST(CartesianPredictorTest, NonCartesianFallsBackToAdjacency) {
   // Sparse relation: not Cartesian.
   TripleList triples = {{0, 0, 4}, {1, 0, 5}, {2, 0, 6}, {3, 0, 7}};
   const TripleStore store(triples, 8, 1);
-  const CartesianPredictor predictor(store);
+  const CartesianPredictor predictor(store, DetectedCartesianRelations(store));
   EXPECT_FALSE(predictor.IsCartesian(0));
   std::vector<float> scores(8);
   predictor.ScoreTails(0, 0, scores);
   EXPECT_GT(scores[4], 0.0f);
   EXPECT_EQ(scores[5], 0.0f);
-}
-
-TEST(CartesianPredictorTest, TypeExtensionPredictsBeyondObservedEntities) {
-  // Cartesian relation over subjects {0,1} (type 0) and objects {4,5}
-  // (type 1). Entity 2 has type 0 and entity 6 type 1, but neither appears
-  // in any triple: the type extension (paper §4.3(2)) still predicts them.
-  TripleList triples = {{0, 0, 4}, {0, 0, 5}, {1, 0, 4}, {1, 0, 5}};
-  const TripleStore store(triples, 8, 1);
-  CartesianPredictor predictor(store, std::vector<RelationId>{0});
-  //                     entity: 0  1  2  3  4  5  6  7
-  predictor.EnableTypeExtension({0, 0, 0, 2, 1, 1, 1, 2});
-  ASSERT_TRUE(predictor.type_extension_enabled());
-
-  std::vector<float> scores(8);
-  // Unseen head of the right type still triggers the product closure.
-  predictor.ScoreTails(2, 0, scores);
-  EXPECT_GT(scores[4], 0.0f);
-  EXPECT_GT(scores[6], 0.0f);   // unseen object of the right type
-  EXPECT_EQ(scores[7], 0.0f);   // wrong type stays out
-  EXPECT_GT(scores[4], scores[6]);  // observed objects outrank typed ones
-
-  // Head side: unseen tail of the right type.
-  predictor.ScoreHeads(0, 6, scores);
-  EXPECT_GT(scores[0], 0.0f);
-  EXPECT_GT(scores[2], 0.0f);
-  EXPECT_EQ(scores[3], 0.0f);
 }
 
 TEST(CartesianPredictorTest, ForcedRelationList) {

@@ -161,19 +161,18 @@ TEST(ServeBoundedQueueTest, ShedsAtCapacityAndDrainsAfterClose) {
   EXPECT_FALSE(queue.TryPush(3));  // full: admission control says no
   queue.Close();
   EXPECT_FALSE(queue.TryPush(4));  // closed
-  auto batch = queue.PopBatch(8, std::chrono::microseconds(0));
+  auto batch = queue.PopBatch(8);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0], 1);
   EXPECT_EQ(batch[1], 2);
-  EXPECT_TRUE(queue.PopBatch(8, std::chrono::microseconds(0)).empty());
+  EXPECT_TRUE(queue.PopBatch(8).empty());
 }
 
 TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
   const char* const kVars[] = {
-      "KGC_SERVE_MAX_CONNECTIONS", "KGC_SERVE_QUEUE",
-      "KGC_SERVE_MAX_BATCH",       "KGC_SERVE_LINGER_US",
-      "KGC_SERVE_DEADLINE_MS",     "KGC_SERVE_WRITE_TIMEOUT_MS",
-      "KGC_SERVE_MAX_K"};
+      "KGC_SERVE_MAX_CONNECTIONS",  "KGC_SERVE_QUEUE",
+      "KGC_SERVE_MAX_BATCH",        "KGC_SERVE_DEADLINE_MS",
+      "KGC_SERVE_WRITE_TIMEOUT_MS", "KGC_SERVE_MAX_K"};
   const auto unset_all = [&] {
     for (const char* name : kVars) ::unsetenv(name);
   };
@@ -192,7 +191,6 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
                                                  '\n')));
       };
   const ServeOptions defaults;
-  EXPECT_EQ(defaults.linger_us, 0);
 
   {
     const auto [options, warnings] = parse({});
@@ -200,7 +198,6 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
     EXPECT_EQ(options.max_connections, defaults.max_connections);
     EXPECT_EQ(options.queue_capacity, defaults.queue_capacity);
     EXPECT_EQ(options.max_batch, defaults.max_batch);
-    EXPECT_EQ(options.linger_us, 0);
     EXPECT_EQ(options.default_deadline_ms, defaults.default_deadline_ms);
     EXPECT_EQ(options.write_timeout_ms, defaults.write_timeout_ms);
     EXPECT_EQ(options.max_k, defaults.max_k);
@@ -209,7 +206,6 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
     const auto [options, warnings] = parse({{"KGC_SERVE_MAX_CONNECTIONS", "3"},
                                             {"KGC_SERVE_QUEUE", "2"},
                                             {"KGC_SERVE_MAX_BATCH", "4"},
-                                            {"KGC_SERVE_LINGER_US", "500"},
                                             {"KGC_SERVE_DEADLINE_MS", "250"},
                                             {"KGC_SERVE_WRITE_TIMEOUT_MS", "1"},
                                             {"KGC_SERVE_MAX_K", "10"}});
@@ -217,17 +213,14 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
     EXPECT_EQ(options.max_connections, 3);
     EXPECT_EQ(options.queue_capacity, 2);
     EXPECT_EQ(options.max_batch, 4);
-    EXPECT_EQ(options.linger_us, 500);
     EXPECT_EQ(options.default_deadline_ms, 250);
     EXPECT_EQ(options.write_timeout_ms, 1);
     EXPECT_EQ(options.max_k, 10);
   }
   {
-    // The boundaries themselves are accepted.
-    const auto [options, warnings] = parse({{"KGC_SERVE_LINGER_US", "0"},
-                                            {"KGC_SERVE_MAX_BATCH", "1"}});
+    // The boundary itself is accepted.
+    const auto [options, warnings] = parse({{"KGC_SERVE_MAX_BATCH", "1"}});
     EXPECT_EQ(warnings, 0);
-    EXPECT_EQ(options.linger_us, 0);
     EXPECT_EQ(options.max_batch, 1);
   }
   {
@@ -237,15 +230,13 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
         parse({{"KGC_SERVE_MAX_CONNECTIONS", "abc"},
                {"KGC_SERVE_QUEUE", "0"},
                {"KGC_SERVE_MAX_BATCH", "-4"},
-               {"KGC_SERVE_LINGER_US", "-1"},
                {"KGC_SERVE_DEADLINE_MS", "12ms"},
                {"KGC_SERVE_WRITE_TIMEOUT_MS", " 5"},
                {"KGC_SERVE_MAX_K", "99999999999"}});
-    EXPECT_EQ(warnings, 7);
+    EXPECT_EQ(warnings, 6);
     EXPECT_EQ(options.max_connections, defaults.max_connections);
     EXPECT_EQ(options.queue_capacity, defaults.queue_capacity);
     EXPECT_EQ(options.max_batch, defaults.max_batch);
-    EXPECT_EQ(options.linger_us, defaults.linger_us);
     EXPECT_EQ(options.default_deadline_ms, defaults.default_deadline_ms);
     EXPECT_EQ(options.write_timeout_ms, defaults.write_timeout_ms);
     EXPECT_EQ(options.max_k, defaults.max_k);
@@ -261,7 +252,7 @@ TEST(ServeOptionsTest, FromEnvParsesStrictlyAndKeepsDefaultsOnBadValues) {
 class ServeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    FaultInjector::Get().DisarmAll();
+    FaultInjector::Get().DisarmAllForTest();
     const std::string name = ::testing::UnitTest::GetInstance()
                                  ->current_test_info()
                                  ->name();
@@ -272,7 +263,7 @@ class ServeTest : public ::testing::Test {
   }
   void TearDown() override {
     server_.reset();
-    FaultInjector::Get().DisarmAll();
+    FaultInjector::Get().DisarmAllForTest();
     fs::remove_all(root_);
   }
 

@@ -120,7 +120,7 @@ TEST(SnapshotManifestTest, CurrentPointerRoundTrips) {
 class SnapshotLifecycleTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    FaultInjector::Get().DisarmAll();
+    FaultInjector::Get().DisarmAllForTest();
     root_ = (fs::temp_directory_path() /
              ("kgc_snap_" + std::string(::testing::UnitTest::GetInstance()
                                             ->current_test_info()
@@ -129,7 +129,7 @@ class SnapshotLifecycleTest : public ::testing::Test {
     fs::remove_all(root_);
   }
   void TearDown() override {
-    FaultInjector::Get().DisarmAll();
+    FaultInjector::Get().DisarmAllForTest();
     fs::remove_all(root_);
   }
 
@@ -454,7 +454,7 @@ TEST_F(SnapshotLifecycleTest, IoFaultAtEveryPublishSiteRecovers) {
       FaultInjector::Get().ArmSite(site, FaultKind::kEnospc);
       auto failed = ingestor.IngestBatch(WarmBatch(), "b0", 0);
       EXPECT_FALSE(failed.ok());
-      FaultInjector::Get().DisarmAll();
+      FaultInjector::Get().DisarmAllForTest();
     }
     // Reopen: recovery must land on the intact generation 0 ...
     auto recovered = MustOpen();
@@ -494,7 +494,7 @@ TEST_F(SnapshotLifecycleTest, IoFaultDuringRollbackStillLeavesOldLive) {
       ASSERT_TRUE(ingestor.Bootstrap(MakeBase()).ok());
       FaultInjector::Get().ArmSite(site, FaultKind::kEnospc);
       EXPECT_FALSE(ingestor.IngestBatch(WarmBatch(), "b0", 0).ok());
-      FaultInjector::Get().DisarmAll();
+      FaultInjector::Get().DisarmAllForTest();
       EXPECT_EQ(registry->current_generation(), 0);
     }
     auto recovered = MustOpen();

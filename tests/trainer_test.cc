@@ -162,7 +162,7 @@ TEST(TrainerTest, DeadlineExitSavesResumableCheckpoint) {
   // boundary on; the test handler observes the expiry instead of exiting.
   SetDeadlineHandlerForTest(CountTrainerDeadline);
   g_trainer_deadline_hits = 0;
-  Deadline::Global().SetPhaseBudget(1e-6);
+  Deadline::Global().SetPhaseBudgetForTest(1e-6);
   TrainStats partial;
   {
     auto interrupted = CreateModel(ModelType::kTransE,
@@ -170,7 +170,7 @@ TEST(TrainerTest, DeadlineExitSavesResumableCheckpoint) {
                                    kg.dataset.num_relations(), params);
     partial = TrainModel(*interrupted, kg.dataset, options);
   }
-  Deadline::Global().SetPhaseBudget(0);
+  Deadline::Global().SetPhaseBudgetForTest(0);
   SetDeadlineHandlerForTest(nullptr);
   EXPECT_TRUE(partial.deadline_hit);
   EXPECT_EQ(g_trainer_deadline_hits, 1);

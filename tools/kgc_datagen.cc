@@ -26,7 +26,6 @@
 #include "datagen/presets.h"
 #include "datagen/streaming.h"
 #include "obs/exporter.h"
-#include "obs/perf_counters.h"
 #include "obs/report.h"
 #include "util/resource.h"
 #include "util/stopwatch.h"
@@ -75,7 +74,6 @@ bool ResolvePreset(const std::string& name, GeneratorSpec* spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  kgc::obs::StartRunPerfCounters();
   kgc::obs::StartExporterFromEnv("kgc_datagen");
   kgc::Stopwatch run_watch;
   std::string preset;

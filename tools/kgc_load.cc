@@ -42,7 +42,6 @@
 #include "eval/triple_classification.h"
 #include "obs/exporter.h"
 #include "obs/hdr_histogram.h"
-#include "obs/perf_counters.h"
 #include "obs/report.h"
 #include "serve/protocol.h"
 #include "snapshot/snapshot_registry.h"
@@ -513,7 +512,6 @@ int LoadMain(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  kgc::obs::StartRunPerfCounters();
   kgc::obs::StartExporterFromEnv("kgc_load");
   kgc::Stopwatch watch;
   const int rc = LoadMain(argc, argv);

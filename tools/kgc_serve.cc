@@ -32,9 +32,9 @@
 // Queue/batch/deadline knobs come from KGC_SERVE_* env (see
 // serve/server.h); the flags above override the corresponding env value.
 // Prints "READY socket=... generation=N entities=N model=NAME" followed by
-// the resolved serving options ("queue=N max_batch=N linger_us=N
-// deadline_ms=N max_connections=N max_k=N") once serving, and a drain
-// summary on SIGTERM/SIGINT. Exit: 0 clean drain, 1 error, 2 usage.
+// the resolved serving options ("queue=N max_batch=N deadline_ms=N
+// max_connections=N max_k=N") once serving, and a drain summary on
+// SIGTERM/SIGINT. Exit: 0 clean drain, 1 error, 2 usage.
 
 #include <csignal>
 #include <cstdio>
@@ -48,7 +48,6 @@
 #include "datagen/streaming.h"
 #include "kg/kg_io.h"
 #include "obs/exporter.h"
-#include "obs/perf_counters.h"
 #include "obs/report.h"
 #include "serve/server.h"
 #include "snapshot/snapshot_registry.h"
@@ -241,15 +240,14 @@ int ServeMain(int argc, char** argv) {
   std::signal(SIGINT, HandleSignal);
   const auto current = registry->current();
   std::printf("READY socket=%s generation=%lld entities=%lld model=%s "
-              "queue=%d max_batch=%d linger_us=%d deadline_ms=%d "
-              "max_connections=%d max_k=%d\n",
+              "queue=%d max_batch=%d deadline_ms=%d max_connections=%d "
+              "max_k=%d\n",
               options.socket_path.c_str(),
               static_cast<long long>(server.pinned_generation()),
               static_cast<long long>(current->manifest.num_entities),
               current->manifest.model.c_str(), options.queue_capacity,
-              options.max_batch, options.linger_us,
-              options.default_deadline_ms, options.max_connections,
-              options.max_k);
+              options.max_batch, options.default_deadline_ms,
+              options.max_connections, options.max_k);
   std::fflush(stdout);
 
   while (g_stop == 0) {
@@ -267,7 +265,6 @@ int ServeMain(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  kgc::obs::StartRunPerfCounters();
   kgc::obs::StartExporterFromEnv("kgc_serve");
   kgc::Stopwatch watch;
   const int rc = ServeMain(argc, argv);

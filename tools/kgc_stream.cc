@@ -42,7 +42,6 @@
 #include "datagen/presets.h"
 #include "kg/dataset.h"
 #include "obs/exporter.h"
-#include "obs/perf_counters.h"
 #include "obs/report.h"
 #include "snapshot/snapshot_registry.h"
 #include "snapshot/stream_ingestor.h"
@@ -345,10 +344,9 @@ int StreamMain(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Same telemetry bracket as the bench binaries: perf + exporter start
+  // Same telemetry bracket as the bench binaries: the exporter starts
   // before any work, run report + final time-series record at exit
   // (KGC_METRICS / KGC_METRICS_INTERVAL_MS opt-in, see obs/exporter.h).
-  kgc::obs::StartRunPerfCounters();
   kgc::obs::StartExporterFromEnv("kgc_stream");
   kgc::Stopwatch watch;
   const int rc = StreamMain(argc, argv);

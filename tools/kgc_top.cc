@@ -161,15 +161,6 @@ void RenderRecord(const JsonValue& record) {
         NumberField(*resources, "vol_ctx_switches"),
         NumberField(*resources, "invol_ctx_switches"));
   }
-  const JsonValue* perf = record.Find("perf");
-  if (perf != nullptr && perf->is_object()) {
-    std::printf("perf cycles %.3g  instr %.3g  cache-miss %.3g  "
-                "branch-miss %.3g\n",
-                NumberField(*perf, "cycles"),
-                NumberField(*perf, "instructions"),
-                NumberField(*perf, "cache_misses"),
-                NumberField(*perf, "branch_misses"));
-  }
 
   const int term_width = TerminalWidth();
   const JsonValue* counters = record.Find("counters");
