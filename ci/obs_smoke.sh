@@ -11,6 +11,8 @@
 #     kgc.timeseries.v1 JSONL file (monotone cumulative counters, a final
 #     record) plus a Prometheus-style exposition file, and the final
 #     cumulative counters must be bit-identical across KGC_THREADS
+#   - the mined AMIE rule lists (every rule, in order, with its numbers)
+#     must print the same bytes at any KGC_THREADS
 #   - the 9-model Table 5 path must write the same .ranks bytes at any
 #     KGC_THREADS, and the same .kgcm bytes with KGC_KERNEL=generic
 #   - no library function may be called only by tests, or by nothing,
@@ -169,6 +171,25 @@ for prom in "${WORK_DIR}/t1.prom" "${WORK_DIR}/t4.prom"; do
   grep -q 'quantile="0.99"' "${prom}"
 done
 echo "exposition OK: $(grep -c '^# TYPE' "${WORK_DIR}/t1.prom") metric types"
+
+echo "== mined rule lists: same bytes at any KGC_THREADS =="
+# rule_mining prints the full ordered rule list (1000 is more than any
+# dataset mines) and the AMIE metrics ranked from it.
+RULE_MINING="${BUILD_DIR}/examples/rule_mining"
+for dataset in fb wn yago; do
+  for threads in 1 4; do
+    KGC_THREADS="${threads}" "${RULE_MINING}" "${dataset}" 1000 \
+      > "${WORK_DIR}/rules_${dataset}_t${threads}.txt"
+  done
+  if ! cmp -s "${WORK_DIR}/rules_${dataset}_t1.txt" \
+      "${WORK_DIR}/rules_${dataset}_t4.txt"; then
+    echo "ERROR: ${dataset} rule list differs at KGC_THREADS=1/4" >&2
+    diff "${WORK_DIR}/rules_${dataset}_t1.txt" \
+      "${WORK_DIR}/rules_${dataset}_t4.txt" >&2 || true
+    exit 1
+  fi
+done
+echo "rule lists OK: fb, wn and yago byte-identical at KGC_THREADS=1/4"
 
 echo "== Table 5 rank tables: same bytes at any KGC_THREADS =="
 # One sweep ranks all nine models, so TransH, TransR and TransD (whose

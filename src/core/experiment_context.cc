@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "core/audit.h"
 
@@ -103,9 +104,12 @@ const BenchmarkSuite& ExperimentContext::Yago3() {
 
 TrainOptions ExperimentContext::ScaledTrainOptions(ModelType type) const {
   TrainOptions train_options = DefaultTrainOptions(type);
-  train_options.epochs = std::max(
-      1, static_cast<int>(std::lround(train_options.epochs *
-                                      options_.epoch_scale)));
+  // Scaled in double and clamped before the cast, so no accepted scale can
+  // wrap the count: 1e10 × 60 epochs is INT_MAX epochs, not 1.
+  const double epochs =
+      std::round(train_options.epochs * options_.epoch_scale);
+  train_options.epochs = static_cast<int>(std::clamp(
+      epochs, 1.0, static_cast<double>(std::numeric_limits<int>::max())));
   train_options.seed = options_.train_seed;
   train_options.verbose = options_.verbose_training;
   return train_options;

@@ -78,8 +78,8 @@ Registry::Registry() {
         kRankerQueryCacheMisses, kTopKEntitiesScored, kTopKHeapPushes,
         kTopKQueriesBatched, kRedundancyPairsCompared,
         kRedundancyPairsFlagged, kRedundancyTriplesClassified,
-        kAmieCandidates, kAmieRulesKept, kCacheModelHits, kCacheModelMisses,
-        kCacheRankHits, kCacheRankMisses, kCacheQuarantined,
+        kAmieCandidates, kAmieRulesKept, kAmiePathPairs, kCacheModelHits,
+        kCacheModelMisses, kCacheRankHits, kCacheRankMisses, kCacheQuarantined,
         kCacheRegenerated, kCacheStoreUnusable, kFaultsInjected,
         kDeadlineExpired, kIngestRejectedFiles, kIngestRejectedLines,
         kSnapshotPublished, kSnapshotRollbacks, kSnapshotRecoveries,

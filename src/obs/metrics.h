@@ -184,6 +184,7 @@ inline constexpr char kRedundancyTriplesClassified[] =
     "kgc.redundancy.triples_classified";
 inline constexpr char kAmieCandidates[] = "kgc.amie.candidates";
 inline constexpr char kAmieRulesKept[] = "kgc.amie.rules_kept";
+inline constexpr char kAmiePathPairs[] = "kgc.amie.path_pairs";
 inline constexpr char kCacheModelHits[] = "kgc.cache.model_hits";
 inline constexpr char kCacheModelMisses[] = "kgc.cache.model_misses";
 inline constexpr char kCacheRankHits[] = "kgc.cache.rank_hits";

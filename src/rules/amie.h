@@ -24,17 +24,23 @@ struct AmieOptions {
   size_t min_support = 5;
   double min_head_coverage = 0.01;
   double min_confidence = 0.05;
-  /// Cap on enumerated 2-hop body pairs per (r1, r2) to bound mining time.
+  /// One global budget on the distinct 2-hop body pairs over all path
+  /// bodies, to bound mining time. Mediator entities are walked in
+  /// ascending order, and the walk stops before the first mediator at which
+  /// more than this many pairs are counted, so the kept pairs are those
+  /// whose first (smallest) mediator lies below that cut.
   size_t max_path_pairs = 2'000'000;
   /// Rank candidates by PCA confidence (true, AMIE+'s default) or standard.
   bool use_pca_confidence = true;
-  /// Worker threads for candidate generation and support/confidence
-  /// evaluation (0 = KGC_THREADS / hardware default; see util/parallel.h).
-  /// The mined rule list is bit-identical for any value.
+  /// Worker threads for path enumeration, candidate generation and
+  /// support/confidence evaluation (0 = KGC_THREADS / hardware default; see
+  /// util/parallel.h). The mined rule list is bit-identical for any value.
   int threads = 0;
 };
 
-/// Mines rules from `train`.
+/// Mines rules from `train`, read as a set of facts (a duplicated triple
+/// counts once). Rules come strongest first: by confidence and support
+/// descending, then by (kind, body1, body2, head) ascending.
 std::vector<Rule> MineRules(const TripleStore& train,
                             const AmieOptions& options = {});
 

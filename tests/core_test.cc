@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -189,6 +190,23 @@ TEST(ScaledTrainOptionsTest, EpochScaleApplies) {
       context.ScaledTrainOptions(ModelType::kTransE);
   const TrainOptions defaults = DefaultTrainOptions(ModelType::kTransE);
   EXPECT_EQ(scaled.epochs, defaults.epochs / 2);
+  std::filesystem::remove_all(options.cache_dir);
+}
+
+TEST(ScaledTrainOptionsTest, EpochCountIsClampedNotWrapped) {
+  ExperimentOptions options;
+  options.cache_dir = TempCacheDir("kgc_ctx_clamp");
+  ASSERT_EQ(DefaultTrainOptions(ModelType::kTransE).epochs, 60);
+  const auto epochs = [&](double scale) {
+    options.epoch_scale = scale;
+    return ExperimentContext(options)
+        .ScaledTrainOptions(ModelType::kTransE)
+        .epochs;
+  };
+  EXPECT_EQ(epochs(0.01), 1);
+  EXPECT_EQ(epochs(1.0), 60);
+  EXPECT_EQ(epochs(1e10), std::numeric_limits<int>::max());
+  EXPECT_EQ(epochs(1e300), std::numeric_limits<int>::max());
   std::filesystem::remove_all(options.cache_dir);
 }
 

@@ -286,6 +286,9 @@ TEST(DeterminismTest, CountersBitIdenticalAcrossThreadCounts) {
     if (c.name == obs::kRankerQueryCacheHits) {
       EXPECT_EQ(c.value, 2u * kg.dataset.test().size() - unique_queries);
     }
+    if (c.name == obs::kAmiePathPairs) {
+      EXPECT_GT(c.value, 0u);
+    }
   }
   obs::Registry::Get().ResetAllForTest();
 }

@@ -4,7 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <tuple>
 
+#include "datagen/generator.h"
+#include "datagen/presets.h"
+#include "obs/metrics.h"
 #include "redundancy/detectors.h"
 #include "rules/amie.h"
 #include "rules/cartesian_predictor.h"
@@ -138,6 +144,326 @@ TEST(RulePredictorTest, PathRulePrediction) {
   predictor.ScoreTails(5, 4, scores);
   EXPECT_GT(scores[8], 0.0f);
   EXPECT_EQ(scores[10], 0.0f);
+}
+
+TEST(AmieTest, DuplicateTriplesCountOnce) {
+  // (0, r1, 1) is stored twice but is one fact: one of r0's two pairs
+  // satisfies the head, and r1 has one pair.
+  const TripleStore store({{0, 0, 1}, {2, 0, 3}, {0, 1, 1}, {0, 1, 1}}, 4, 2);
+  AmieOptions options = LooseOptions();
+  options.min_support = 1;
+  const auto rules = MineRules(store, options);
+  const Rule* rule = FindRule(rules, RuleBodyKind::kSame, 0, 1);
+  ASSERT_NE(rule, nullptr);
+  EXPECT_EQ(rule->support, 1u);
+  EXPECT_EQ(rule->body_size, 2u);
+  EXPECT_DOUBLE_EQ(rule->std_confidence, 0.5);
+  EXPECT_DOUBLE_EQ(rule->pca_confidence, 1.0);
+  EXPECT_DOUBLE_EQ(rule->head_coverage, 1.0);
+}
+
+TEST(AmieTest, TiesOrderByKindBodiesAndHead) {
+  // Every rule mined below has PCA confidence 1 and support 5, so only
+  // (kind, body1, body2, head) orders them.
+  using Identity = std::tuple<RuleBodyKind, RelationId, RelationId, RelationId>;
+  const auto mine = [](const TripleList& triples, int32_t num_entities,
+                       int32_t num_relations) {
+    std::vector<Identity> identities;
+    for (const Rule& rule :
+         MineRules(TripleStore(triples, num_entities, num_relations),
+                   LooseOptions())) {
+      EXPECT_EQ(rule.pca_confidence, 1.0);
+      EXPECT_EQ(rule.support, 5u);
+      identities.emplace_back(rule.kind, rule.body1, rule.body2, rule.head);
+    }
+    return identities;
+  };
+  constexpr RuleBodyKind kSame = RuleBodyKind::kSame;
+  constexpr RuleBodyKind kInverse = RuleBodyKind::kInverse;
+  constexpr RuleBodyKind kPath = RuleBodyKind::kPath;
+
+  // r0 and r1 hold the same five pairs, r2 their reverses.
+  TripleList unary;
+  for (EntityId i = 0; i < 5; ++i) {
+    unary.push_back({i, 0, i + 5});
+    unary.push_back({i, 1, i + 5});
+    unary.push_back({i + 5, 2, i});
+  }
+  EXPECT_EQ(mine(unary, 10, 3),
+            (std::vector<Identity>{{kSame, 0, -1, 1},
+                                   {kSame, 1, -1, 0},
+                                   {kInverse, 0, -1, 2},
+                                   {kInverse, 1, -1, 2},
+                                   {kInverse, 2, -1, 0},
+                                   {kInverse, 2, -1, 1}}));
+
+  // r1 and r2 hold the same pairs, so r0 ^ r1 and r0 ^ r2 both imply r3.
+  TripleList paths;
+  for (EntityId i = 0; i < 5; ++i) {
+    paths.push_back({i, 0, i + 5});
+    paths.push_back({i + 5, 1, i + 10});
+    paths.push_back({i + 5, 2, i + 10});
+    paths.push_back({i, 3, i + 10});
+  }
+  EXPECT_EQ(mine(paths, 15, 4), (std::vector<Identity>{{kSame, 1, -1, 2},
+                                                       {kSame, 2, -1, 1},
+                                                       {kPath, 0, 1, 3},
+                                                       {kPath, 0, 2, 3}}));
+}
+
+// --- The sharded path join against the serial enumeration ------------------
+
+// The serial definition the sharded join must reproduce: one walk over
+// mediators in ascending order, each body's pairs in a std::set, the
+// max_path_pairs budget checked before each mediator. Assumes a store
+// without duplicate triples. Returns the rules in the miner's total order
+// and, in `path_pairs`, the distinct path body pairs enumerated.
+std::vector<Rule> ReferenceMineRules(const TripleStore& train,
+                                     const AmieOptions& options,
+                                     size_t* path_pairs = nullptr) {
+  std::map<uint64_t, std::vector<RelationId>> pair_relations;
+  for (const Triple& t : train.triples()) {
+    pair_relations[PackPair(t.head, t.tail)].push_back(t.relation);
+  }
+  const auto relations_of = [&](uint64_t pair) {
+    const auto it = pair_relations.find(pair);
+    return it == pair_relations.end() ? std::vector<RelationId>{}
+                                      : it->second;
+  };
+  std::vector<std::pair<Rule, std::vector<uint64_t>>> candidates;
+  const auto add = [&](RuleBodyKind kind, RelationId body1, RelationId body2,
+                       RelationId head, size_t support,
+                       const std::vector<uint64_t>& pairs) {
+    if (support < options.min_support) return;
+    Rule rule;
+    rule.kind = kind;
+    rule.body1 = body1;
+    rule.body2 = body2;
+    rule.head = head;
+    rule.support = support;
+    rule.body_size = pairs.size();
+    candidates.emplace_back(rule, pairs);
+  };
+
+  for (RelationId body = 0; body < train.num_relations(); ++body) {
+    std::vector<uint64_t> pairs;
+    for (uint64_t key : train.Pairs(body)) pairs.push_back(key);
+    if (pairs.size() < options.min_support) continue;
+    std::map<RelationId, size_t> same;
+    std::map<RelationId, size_t> inverse;
+    for (uint64_t key : pairs) {
+      for (RelationId rh : relations_of(key)) ++same[rh];
+      const auto [x, y] = UnpackPair(key);
+      for (RelationId rh : relations_of(PackPair(y, x))) ++inverse[rh];
+    }
+    for (const auto& [head, support] : same) {
+      if (head == body) continue;
+      add(RuleBodyKind::kSame, body, -1, head, support, pairs);
+    }
+    for (const auto& [head, support] : inverse) {
+      add(RuleBodyKind::kInverse, body, -1, head, support, pairs);
+    }
+  }
+
+  const size_t num_entities = static_cast<size_t>(train.num_entities());
+  std::vector<std::vector<std::pair<RelationId, EntityId>>> in_edges(
+      num_entities);
+  std::vector<std::vector<std::pair<RelationId, EntityId>>> out_edges(
+      num_entities);
+  for (const Triple& t : train.triples()) {
+    in_edges[static_cast<size_t>(t.tail)].push_back({t.relation, t.head});
+    out_edges[static_cast<size_t>(t.head)].push_back({t.relation, t.tail});
+  }
+  std::map<std::pair<RelationId, RelationId>, std::set<uint64_t>> bodies;
+  size_t total_pairs = 0;
+  for (size_t z = 0; z < num_entities; ++z) {
+    const auto& in = in_edges[z];
+    const auto& out = out_edges[z];
+    if (in.empty() || out.empty()) continue;
+    if (in.size() * out.size() > 20'000) continue;  // hub
+    if (total_pairs > options.max_path_pairs) break;
+    for (const auto& [r1, x] : in) {
+      for (const auto& [r2, y] : out) {
+        if (bodies[{r1, r2}].insert(PackPair(x, y)).second) ++total_pairs;
+      }
+    }
+  }
+  if (path_pairs != nullptr) *path_pairs = total_pairs;
+  for (const auto& [body, pair_set] : bodies) {
+    const std::vector<uint64_t> pairs(pair_set.begin(), pair_set.end());
+    std::map<RelationId, size_t> support;
+    for (uint64_t key : pairs) {
+      for (RelationId rh : relations_of(key)) ++support[rh];
+    }
+    for (const auto& [head, count] : support) {
+      add(RuleBodyKind::kPath, body.first, body.second, head, count, pairs);
+    }
+  }
+
+  std::vector<Rule> rules;
+  for (auto& [rule, pairs] : candidates) {
+    const EntitySetView subjects = train.Subjects(rule.head);
+    size_t pca_body = 0;
+    for (uint64_t key : pairs) {
+      const auto [x, y] = UnpackPair(key);
+      if (subjects.contains(rule.kind == RuleBodyKind::kInverse ? y : x)) {
+        ++pca_body;
+      }
+    }
+    const size_t head_size = train.RelationSize(rule.head);
+    rule.std_confidence = static_cast<double>(rule.support) /
+                          static_cast<double>(rule.body_size);
+    rule.pca_confidence = pca_body > 0 ? static_cast<double>(rule.support) /
+                                             static_cast<double>(pca_body)
+                                       : 0.0;
+    rule.head_coverage =
+        static_cast<double>(rule.support) / static_cast<double>(head_size);
+    const double confidence = options.use_pca_confidence
+                                  ? rule.pca_confidence
+                                  : rule.std_confidence;
+    if (rule.head_coverage >= options.min_head_coverage &&
+        confidence >= options.min_confidence) {
+      rules.push_back(rule);
+    }
+  }
+  std::sort(rules.begin(), rules.end(), [&](const Rule& a, const Rule& b) {
+    const double ca = options.use_pca_confidence ? a.pca_confidence
+                                                 : a.std_confidence;
+    const double cb = options.use_pca_confidence ? b.pca_confidence
+                                                 : b.std_confidence;
+    if (ca != cb) return ca > cb;
+    if (a.support != b.support) return a.support > b.support;
+    return std::tie(a.kind, a.body1, a.body2, a.head) <
+           std::tie(b.kind, b.body1, b.body2, b.head);
+  });
+  return rules;
+}
+
+void ExpectSameRules(const std::vector<Rule>& actual,
+                     const std::vector<Rule>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].kind, expected[i].kind) << "rule " << i;
+    EXPECT_EQ(actual[i].body1, expected[i].body1) << "rule " << i;
+    EXPECT_EQ(actual[i].body2, expected[i].body2) << "rule " << i;
+    EXPECT_EQ(actual[i].head, expected[i].head) << "rule " << i;
+    EXPECT_EQ(actual[i].support, expected[i].support) << "rule " << i;
+    EXPECT_EQ(actual[i].body_size, expected[i].body_size) << "rule " << i;
+    EXPECT_EQ(actual[i].std_confidence, expected[i].std_confidence)
+        << "rule " << i;
+    EXPECT_EQ(actual[i].pca_confidence, expected[i].pca_confidence)
+        << "rule " << i;
+    EXPECT_EQ(actual[i].head_coverage, expected[i].head_coverage)
+        << "rule " << i;
+  }
+}
+
+// Thresholds low enough that every shape of rule, weak ones included, is
+// compared.
+AmieOptions OracleOptions() {
+  AmieOptions options;
+  options.min_support = 1;
+  options.min_head_coverage = 0.0;
+  options.min_confidence = 0.0;
+  return options;
+}
+
+TripleStore Deduplicated(const TripleStore& store) {
+  TripleList triples = store.triples();
+  triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
+  return TripleStore(std::move(triples), store.num_entities(),
+                     store.num_relations());
+}
+
+// A 400-entity generated graph: about 6,800 facts, 100,000 distinct path
+// body pairs and a few hundred path rules.
+TripleStore GeneratedTrain() {
+  return Deduplicated(GenerateKg(ScaleSpec(400), 7).dataset.train_store());
+}
+
+// Mines `store` at 1, 2 and 4 threads, expects the reference's rules on
+// `reference_store` field for field and in order, and returns the distinct
+// path body pairs the miner kept (the kgc.amie.path_pairs increment), which
+// must equal the reference's.
+size_t ExpectMatchesReference(const TripleStore& store,
+                              const TripleStore& reference_store,
+                              const AmieOptions& options) {
+  size_t reference_pairs = 0;
+  const std::vector<Rule> expected =
+      ReferenceMineRules(reference_store, options, &reference_pairs);
+  obs::Counter& path_pairs =
+      obs::Registry::Get().GetCounter(obs::kAmiePathPairs);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    AmieOptions threaded = options;
+    threaded.threads = threads;
+    const uint64_t before = path_pairs.value();
+    ExpectSameRules(MineRules(store, threaded), expected);
+    EXPECT_EQ(path_pairs.value() - before, reference_pairs);
+  }
+  return reference_pairs;
+}
+
+TEST(AmieReferenceTest, MatchesSerialEnumerationOnGeneratedData) {
+  const TripleStore store = GeneratedTrain();
+  const std::vector<Rule> rules = MineRules(store, OracleOptions());
+  EXPECT_TRUE(std::any_of(rules.begin(), rules.end(), [](const Rule& r) {
+    return r.kind == RuleBodyKind::kPath;
+  }));
+  EXPECT_GT(ExpectMatchesReference(store, store, OracleOptions()), 0u);
+}
+
+TEST(AmieReferenceTest, MatchesSerialEnumerationWhenTheBudgetCuts) {
+  const TripleStore store = GeneratedTrain();
+  const size_t uncapped = ExpectMatchesReference(store, store, OracleOptions());
+  // A third of the pairs cuts after several blocks; 0 keeps only the first
+  // mediator's pairs, each mediator its own block.
+  for (size_t budget : {uncapped / 3, size_t{100}, size_t{0}}) {
+    SCOPED_TRACE(testing::Message() << "max_path_pairs=" << budget);
+    AmieOptions capped = OracleOptions();
+    capped.max_path_pairs = budget;
+    const size_t kept = ExpectMatchesReference(store, store, capped);
+    EXPECT_LT(kept, uncapped);
+    EXPECT_GT(kept, budget);  // the walk stops after the mediator that overran
+  }
+}
+
+TEST(AmieReferenceTest, HubMediatorsMediateNoPaths) {
+  // Entity 0 mediates r0(x, 0) ^ r1(0, y) for 150 x and 150 y: 22,500
+  // combinations, above the 20,000 hub cap. Entity 301 mediates one of
+  // those pairs, (1, 151), and r2 holds every (x_i, y_i).
+  TripleList triples;
+  for (EntityId i = 0; i < 150; ++i) {
+    triples.push_back({1 + i, 0, 0});
+    triples.push_back({0, 1, 151 + i});
+    triples.push_back({1 + i, 2, 151 + i});
+  }
+  triples.push_back({1, 0, 301});
+  triples.push_back({301, 1, 151});
+  const TripleStore store(triples, 302, 3);
+  AmieOptions options = OracleOptions();
+  options.min_support = 1;
+  ExpectMatchesReference(store, store, options);
+  const std::vector<Rule> rules = MineRules(store, options);
+  const Rule* rule = FindRule(rules, RuleBodyKind::kPath, 0, 2, 1);
+  ASSERT_NE(rule, nullptr);
+  // Only the pair 301 mediates is a body pair; the hub's are in no body.
+  EXPECT_EQ(rule->body_size, 1u);
+  EXPECT_EQ(rule->support, 1u);
+}
+
+TEST(AmieReferenceTest, DuplicateTriplesMineLikeTheDeduplicatedStore) {
+  const TripleStore clean = GeneratedTrain();
+  TripleList triples = clean.triples();
+  for (size_t i = 0; i < clean.size(); i += 5) {
+    triples.push_back(clean.triples()[i]);
+  }
+  const TripleStore duplicated(std::move(triples), clean.num_entities(),
+                               clean.num_relations());
+  ASSERT_GT(duplicated.size(), clean.size());
+  ExpectMatchesReference(duplicated, clean, OracleOptions());
+  ExpectSameRules(MineRules(duplicated, LooseOptions()),
+                  MineRules(clean, LooseOptions()));
 }
 
 // --- SimpleRuleModel -------------------------------------------------------
