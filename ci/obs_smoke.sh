@@ -14,7 +14,8 @@
 #   - the mined AMIE rule lists (every rule, in order, with its numbers)
 #     must print the same bytes at any KGC_THREADS
 #   - the 9-model Table 5 path must write the same .ranks bytes at any
-#     KGC_THREADS, and the same .kgcm bytes with KGC_KERNEL=generic
+#     KGC_THREADS, and the same .kgcm and .ranks bytes with
+#     KGC_KERNEL=generic
 #   - no library function may be called only by tests, or by nothing,
 #     unless ci/test_only_symbols.sh allowlists it with a reason
 #
@@ -203,7 +204,7 @@ run_table5() {  # run_table5 [VAR=value...]
   env "$@" KGC_EPOCH_SCALE=0.01 KGC_CACHE_DIR="${T5_CACHE}" "${TABLE5}" \
     > /dev/null
 }
-rank_sums() { (cd "${T5_CACHE}" && sha256sum -- *.ranks); }
+rank_sums() { (cd "${1:-${T5_CACHE}}" && sha256sum -- *.ranks); }
 run_table5
 reference="$(rank_sums)"
 tables="$(wc -l <<< "${reference}")"
@@ -242,5 +243,17 @@ if [[ "$(model_sums "${T5_GENERIC}")" != "${native_models}" ]]; then
   exit 1
 fi
 echo "models OK: ${models} models byte-identical on the generic path"
+
+# Ranking bounds every score through the kernels' float twins and rescores
+# the rows a bound cannot order: the twins' values, and so which rows are
+# rescored, must not depend on the kernel path, and the ranks never do.
+# The generic run above ranked its models on the generic path; every rank
+# table must equal the native run's byte for byte.
+if [[ "$(rank_sums "${T5_GENERIC}")" != "${reference}" ]]; then
+  echo "ERROR: Table 5 rank tables differ between the kernel paths" >&2
+  diff <(echo "${reference}") <(rank_sums "${T5_GENERIC}") >&2 || true
+  exit 1
+fi
+echo "rank tables OK: ${tables} tables byte-identical on the generic path"
 
 echo "== obs smoke test passed =="

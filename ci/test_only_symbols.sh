@@ -54,7 +54,6 @@ kgc::Deadline::phase_budget() const  # only caller is inlined in its own file (E
 kgc::FaultInjector::Arm(kgc::FaultKind, int, int, long)  # only caller is inlined in its own file (ArmFromSpec)
 kgc::FaultInjector::ArmSite(std::__cxx11::basic_string<char, std::char_traits<char>, std::allocator<char> > const&, kgc::FaultKind, int, int, long)  # only caller is inlined in its own file (ArmFromSpec)
 kgc::FlatSet::InsertNoGrow(unsigned long, unsigned long)  # only caller is inlined in its own file (Grow)
-kgc::KgeModel::Sweep(bool, int, int, std::span<float, 18446744073709551615ul>) const  # only caller is inlined in its own file (ScoreTails, ScoreHeads)
 kgc::MetricsAccumulator::Add(kgc::TripleRanks const&)  # only caller is inlined in its own file (ComputeMetrics and its variants)
 kgc::RedundancyCatalog::IsSymmetric(int) const  # only caller is inlined in its own file (HasReverseIn)
 kgc::StatusCodeName(kgc::StatusCode)  # only caller is inlined in its own file (Status::ToString)

@@ -17,7 +17,10 @@
 namespace kgc {
 namespace {
 
-constexpr uint32_t kRanksMagic = 0x4b524e4bU;  // "KRNK"
+// "KRN2": version 2 filters each distinct known fact once. A rank table
+// written before then may hold a wrapped filtered rank, so its magic no
+// longer loads and it is recomputed.
+constexpr uint32_t kRanksMagic = 0x4b524e32U;
 
 }  // namespace
 

@@ -41,10 +41,14 @@ struct RankerOptions {
 /// under every predictor, so shards stay balanced however much the
 /// predictors' costs differ. Each unique (head, relation) /
 /// (relation, tail) query is scored once, and every test triple that shares
-/// it reuses that score buffer. Ranks *and* all telemetry counters
-/// (score_evals, query_cache_hits/misses) are bit-identical for any thread
-/// count and to one single-predictor call each.
-/// A known fact the filter store holds twice is filtered out twice.
+/// it reuses that sweep. An embedding model's sweep is a float pre-pass that
+/// bounds every candidate's score; only candidates whose bound cannot place
+/// them against the true score are scored exactly, and the ranks equal the
+/// exact sweep's bit for bit. Ranks *and* all telemetry counters
+/// (score_evals, exact_rescores, query_cache_hits/misses) are bit-identical
+/// for any thread count and to one single-predictor call each.
+/// A known fact is filtered out once, however often the filter store holds
+/// it, so a filtered rank is never worse than the raw one.
 std::vector<std::vector<TripleRanks>> RankTriples(
     std::span<const LinkPredictor* const> predictors, const Dataset& dataset,
     const TripleList& test, const RankerOptions& options = {});

@@ -66,48 +66,118 @@ double KgeModel::ScoreAndApplyGradient(const Triple& triple,
 
 void KgeModel::ScoreTails(EntityId h, RelationId r,
                           std::span<float> out) const {
-  Sweep(/*tails=*/true, r, h, out);
+  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
+  PrepareSweep(/*tails=*/true, r, h).ScoreAll(out);
 }
 
 void KgeModel::ScoreHeads(RelationId r, EntityId t,
                           std::span<float> out) const {
-  Sweep(/*tails=*/false, r, t, out);
+  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
+  PrepareSweep(/*tails=*/false, r, t).ScoreAll(out);
 }
 
-void KgeModel::Sweep(bool tails, RelationId r, EntityId anchor,
-                     std::span<float> out) const {
-  KGC_CHECK_EQ(static_cast<int64_t>(out.size()), num_entities_);
-  SweepSpec spec;
-  DescribeSweep(tails, r, &spec);  // may fill coef in scratch slot 1
-  auto q = vec::GetScratch(spec.query_len, 0);
+// The batch-scoring recipe: DescribeSweep, the query in scratch slot 0,
+// BuildSweepQuery; then one single-query kernel over the rows, and the bias
+// and the sign the description asks for.
+PreparedSweep KgeModel::PrepareSweep(bool tails, RelationId r,
+                                     EntityId anchor) const {
+  PreparedSweep sweep;
+  DescribeSweep(tails, r, &sweep.spec_);  // may fill coef in scratch slot 1
+  auto q = vec::GetScratch(sweep.spec_.query_len, 0);
   BuildSweepQuery(tails, r, anchor, q);
+  sweep.q_ = q.data();
+  return sweep;
+}
+
+namespace {
+
+// The kernel of `spec` over rows [first, first + n), written to out.
+void RunKernel(const SweepSpec& spec, const float* q, size_t first, size_t n,
+               float* out) {
   const auto& ops = vec::Ops();
-  const size_t n = spec.num_rows;
+  const float* rows = spec.rows + first * spec.stride;
   switch (spec.kind) {
     case SweepKind::kDot:
-      ops.dot_rows(q.data(), spec.rows, n, spec.stride, spec.dim, out.data());
+      ops.dot_rows(q, rows, n, spec.stride, spec.dim, out);
       break;
     case SweepKind::kL1:
-      ops.l1_rows(q.data(), spec.rows, n, spec.stride, spec.dim, out.data());
+      ops.l1_rows(q, rows, n, spec.stride, spec.dim, out);
       break;
     case SweepKind::kL2:
-      ops.l2_rows(q.data(), spec.rows, n, spec.stride, spec.dim, out.data());
+      ops.l2_rows(q, rows, n, spec.stride, spec.dim, out);
       break;
     case SweepKind::kL1Offset:
-      ops.l1_offset_rows(q.data(), spec.v, spec.coef, spec.coef_scale,
-                         spec.rows, n, spec.stride, spec.dim, out.data());
+      ops.l1_offset_rows(q, spec.v, spec.coef + first, spec.coef_scale, rows,
+                         n, spec.stride, spec.dim, out);
       break;
     case SweepKind::kL2Offset:
-      ops.l2_offset_rows(q.data(), spec.v, spec.coef, spec.coef_scale,
-                         spec.rows, n, spec.stride, spec.dim, out.data());
+      ops.l2_offset_rows(q, spec.v, spec.coef + first, spec.coef_scale, rows,
+                         n, spec.stride, spec.dim, out);
       break;
     case SweepKind::kCabs:
-      ops.cabs_rows(q.data(), spec.rows, n, spec.stride, spec.dim,
-                    out.data());
+      ops.cabs_rows(q, rows, n, spec.stride, spec.dim, out);
       break;
   }
-  if (spec.bias != nullptr) vec::Axpy(1.0f, spec.bias, out.data(), n);
-  if (spec.negate) vec::Negate(out);
+}
+
+}  // namespace
+
+void PreparedSweep::ScoreAll(std::span<float> out) const {
+  const size_t n = spec_.num_rows;
+  RunKernel(spec_, q_, 0, n, out.data());
+  if (spec_.bias != nullptr) vec::Axpy(1.0f, spec_.bias, out.data(), n);
+  if (spec_.negate) vec::Negate(out);
+}
+
+float PreparedSweep::Score(EntityId e) const {
+  const size_t row = static_cast<size_t>(e);
+  float score;
+  RunKernel(spec_, q_, row, 1, &score);
+  // Axpy's y + 1.0f * x is y + x: the product by 1 is exact.
+  if (spec_.bias != nullptr) score += spec_.bias[row];
+  return spec_.negate ? -score : score;
+}
+
+// The twin bounds the kernel's value s to [a - e, a + e], writing a into
+// lo and e into hi; rounded outward, the float interval still holds s.
+// Rounding to nearest is monotone, so fl(s + bias) lies between
+// fl(lo + bias) and fl(hi + bias): the bias folds in with the very add
+// ScoreAll makes, and the sign flips the interval.
+bool PreparedSweep::Bounds(std::span<float> lo, std::span<float> hi) const {
+  const size_t n = spec_.num_rows;
+  const auto& ops = vec::Ops();
+  float* approx = lo.data();
+  float* err = hi.data();
+  switch (spec_.kind) {
+    case SweepKind::kDot:
+      ops.dot_rows_bound(q_, spec_.rows, n, spec_.stride, spec_.dim, approx,
+                         err);
+      break;
+    case SweepKind::kL1:
+      ops.l1_rows_bound(q_, spec_.rows, n, spec_.stride, spec_.dim, approx,
+                        err);
+      break;
+    case SweepKind::kL2:
+      ops.l2_rows_bound(q_, spec_.rows, n, spec_.stride, spec_.dim, approx,
+                        err);
+      break;
+    case SweepKind::kL1Offset:
+      ops.l1_offset_rows_bound(q_, spec_.v, spec_.coef, spec_.coef_scale,
+                               spec_.rows, n, spec_.stride, spec_.dim, approx,
+                               err);
+      break;
+    case SweepKind::kL2Offset:
+      ops.l2_offset_rows_bound(q_, spec_.v, spec_.coef, spec_.coef_scale,
+                               spec_.rows, n, spec_.stride, spec_.dim, approx,
+                               err);
+      break;
+    case SweepKind::kCabs:
+      ops.cabs_rows_bound(q_, spec_.rows, n, spec_.stride, spec_.dim, approx,
+                          err);
+      break;
+  }
+  return ops.twin_interval(lo.data(), hi.data(), spec_.bias, spec_.negate,
+                           n);
 }
 
 std::unique_ptr<KgeModel> CreateModel(ModelType type, int32_t num_entities,

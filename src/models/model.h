@@ -6,7 +6,10 @@
 // performance-critical path of link-prediction evaluation. Models do not
 // write them: each describes its sweep (DescribeSweep) and builds its
 // per-anchor query (BuildSweepQuery), and KgeModel runs the one recipe —
-// one single-query vecmath kernel per call — for every model. The top-K
+// one single-query vecmath kernel per call — for every model. The same
+// prepared sweep (PreparedSweep) also scores single rows and bounds every
+// row's score through the kernel's float twin, which is how the ranker
+// avoids exact scores for the rows a bound already orders. The top-K
 // engine (eval/topk.h) runs the same description through the blocked
 // kernels, so every model is scored and ranked by the same code.
 
@@ -103,6 +106,35 @@ struct SweepSpec {
   bool negate = false;          // true: score = -kernel(q, row) (distances)
 };
 
+/// One anchor's sweep, described and its query built once, for a caller
+/// that needs more than the full score row: the ranker bounds every row's
+/// score in float and scores exactly only the rows the bounds cannot order.
+/// It points at what DescribeSweep and BuildSweepQuery left in scratch and
+/// model storage, so it is valid on the creating thread until that thread's
+/// next DescribeSweep, Score*, ScoreTails/ScoreHeads or PrepareSweep call
+/// on the model.
+class PreparedSweep {
+ public:
+  /// The full score row, the bits ScoreTails / ScoreHeads write.
+  void ScoreAll(std::span<float> out) const;
+
+  /// Row e's score: the bits ScoreAll writes at out[e].
+  float Score(EntityId e) const;
+
+  /// Fills lo[e] <= ScoreAll's out[e] <= hi[e] for every row from the
+  /// kernel's float twin, with the bias and sign folded in as ScoreAll
+  /// applies them. Returns false when some bound is not finite (a NaN or
+  /// infinite parameter, or an overflow); lo and hi then order nothing.
+  bool Bounds(std::span<float> lo, std::span<float> hi) const;
+
+ private:
+  friend class KgeModel;
+  PreparedSweep() = default;
+
+  SweepSpec spec_;
+  const float* q_ = nullptr;
+};
+
 /// Abstract embedding model.
 class KgeModel : public LinkPredictor {
  public:
@@ -162,6 +194,10 @@ class KgeModel : public LinkPredictor {
   virtual void BuildSweepQuery(bool tails, RelationId r, EntityId anchor,
                                std::span<float> q) const = 0;
 
+  /// Describes the sweep behind ScoreTails (tails=true) or ScoreHeads
+  /// (tails=false) and builds the anchor's query, once (see PreparedSweep).
+  PreparedSweep PrepareSweep(bool tails, RelationId r, EntityId anchor) const;
+
   /// Hook called by the trainer when an epoch begins (entity normalization
   /// for translational models happens here).
   virtual void OnEpochBegin(int epoch) { (void)epoch; }
@@ -175,13 +211,6 @@ class KgeModel : public LinkPredictor {
   int32_t num_entities_;
   int32_t num_relations_;
   ModelHyperParams params_;
-
- private:
-  // The batch-scoring recipe behind ScoreTails/ScoreHeads: DescribeSweep,
-  // the query in scratch slot 0, BuildSweepQuery, one single-query kernel,
-  // then the bias and the sign the description asks for.
-  void Sweep(bool tails, RelationId r, EntityId anchor,
-             std::span<float> out) const;
 };
 
 /// Creates a freshly initialized model of the given type.

@@ -74,9 +74,9 @@ Registry::Registry() {
   for (const char* name :
        {kTrainerEpochs, kTrainerExamples, kTrainerNegatives,
         kTrainerCheckpointSaves, kTrainerResumes, kRankerSweeps,
-        kRankerTriplesRanked, kRankerScoreEvals, kRankerQueryCacheHits,
-        kRankerQueryCacheMisses, kTopKEntitiesScored, kTopKHeapPushes,
-        kTopKQueriesBatched, kRedundancyPairsCompared,
+        kRankerTriplesRanked, kRankerScoreEvals, kRankerExactRescores,
+        kRankerQueryCacheHits, kRankerQueryCacheMisses, kTopKEntitiesScored,
+        kTopKHeapPushes, kTopKQueriesBatched, kRedundancyPairsCompared,
         kRedundancyPairsFlagged, kRedundancyTriplesClassified,
         kAmieCandidates, kAmieRulesKept, kAmiePathPairs, kCacheModelHits,
         kCacheModelMisses, kCacheRankHits, kCacheRankMisses, kCacheQuarantined,

@@ -167,6 +167,8 @@ inline constexpr char kTrainerEpochSeconds[] = "kgc.trainer.epoch_seconds";
 inline constexpr char kRankerSweeps[] = "kgc.ranker.sweeps";
 inline constexpr char kRankerTriplesRanked[] = "kgc.ranker.triples_ranked";
 inline constexpr char kRankerScoreEvals[] = "kgc.ranker.score_evals";
+inline constexpr char kRankerExactRescores[] =
+    "kgc.ranker.exact_rescores";
 inline constexpr char kRankerQueryCacheHits[] = "kgc.ranker.query_cache_hits";
 inline constexpr char kRankerQueryCacheMisses[] =
     "kgc.ranker.query_cache_misses";

@@ -225,6 +225,15 @@ std::vector<SpanRollup> CollectSpanRollups() {
   return rollups;
 }
 
+void AddSpanRollup(const char* name, const std::string& label,
+                   double seconds) {
+  if ((Mode() & kRollupsBit) == 0) return;
+  TraceState& state = State();
+  std::lock_guard<std::mutex> lock(state.mutex);
+  state.rollups[std::string(name) + "/" + label].Add(
+      static_cast<int64_t>(seconds * 1e9));
+}
+
 std::vector<RecordedSpan> SnapshotSpansForTest() {
   TraceState& state = State();
   std::lock_guard<std::mutex> lock(state.mutex);

@@ -72,6 +72,12 @@ struct SpanRollup {
 /// EnableSpanRollups).
 std::vector<SpanRollup> CollectSpanRollups();
 
+/// Adds `seconds` to the "<name>/<label>" rollup as one more count, for
+/// work no one span covers: one model's share of a sharded sweep, summed
+/// over the shards that timed it. No-op unless rollups are collected.
+void AddSpanRollup(const char* name, const std::string& label,
+                   double seconds);
+
 /// One buffered (not yet drained) trace event, exposed for tests.
 struct RecordedSpan {
   std::string name;

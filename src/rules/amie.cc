@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 #include <tuple>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -61,10 +62,9 @@ bool FinalizeRule(const TripleStore& train, const AmieOptions& options,
   return confidence >= options.min_confidence;
 }
 
-// A rule whose support has been counted but whose PCA denominator — a sweep
-// over its body pairs — is still pending. `body_pairs` views storage that
-// stays valid for the whole mining run (the TripleStore's CSR arrays or the
-// per-r1 path pair vectors).
+// A unary rule whose support has been counted but whose PCA denominator — a
+// sweep over its body pairs — is still pending. `body_pairs` views the
+// TripleStore's CSR arrays, valid for the whole mining run.
 struct RuleCandidate {
   Rule rule;
   PairSetView body_pairs;
@@ -74,14 +74,9 @@ struct RuleCandidate {
 // paths are not enumerated.
 constexpr size_t kMaxCombosPerEntity = 20'000;
 
-// One path body pair r1(x, z) ^ r2(z, y) of a fixed r1, packed as
-// (r2, x, y) so that ascending order groups the pairs by r2 and sorts each
-// group in PackPair(x, y) order, tagged with the mediator z it came through.
-struct MediatedPair {
-  uint64_t key;
-  EntityId mediator;
-};
-
+// One path body pair r1(x, z) ^ r2(z, y) of a fixed r1 is packed as
+// (r2, x, y), so that ascending order groups the pairs by r2 and sorts each
+// group in PackPair(x, y) order.
 constexpr int kPathR2Shift = 2 * kPackedEntityBits;
 constexpr uint64_t kEntityMask = (uint64_t{1} << kPackedEntityBits) - 1;
 
@@ -196,121 +191,92 @@ class HeadSupport {
   std::vector<RelationId> heads_;
 };
 
-// Joins r1's distinct (x, z) pairs whose mediator z lies in [lo, hi) with
-// z's out-edges. Returns each (r2, x, y) key once, ascending, tagged with
-// its smallest mediator, leaving out keys already in `kept` (ascending).
-std::vector<MediatedPair> JoinBlock(const TripleStore& train,
-                                    const FactIndex& facts, RelationId r1,
-                                    EntityId lo, EntityId hi,
-                                    const std::vector<uint64_t>& kept) {
-  std::vector<MediatedPair> pairs;
+// Calls f(key, z) for every raw path of r1 through a mediator z below
+// `stop`: r1's distinct (x, z) pairs joined with z's out-edges, each
+// packed as PackPathKey(r2, x, y).
+template <typename F>
+void ForEachPath(const TripleStore& train, const FactIndex& facts,
+                 RelationId r1, EntityId stop, F f) {
   for (uint64_t xz : train.Pairs(r1)) {
     const auto [x, z] = UnpackPair(xz);
-    if (z < lo || z >= hi) continue;
-    if (facts.combos[static_cast<size_t>(z)] == 0) continue;
+    if (z >= stop || facts.combos[static_cast<size_t>(z)] == 0) continue;
     for (const OutEdge& e : facts.Out(z)) {
-      pairs.push_back({PackPathKey(e.relation, x, e.tail), z});
+      f(PackPathKey(e.relation, x, e.tail), z);
     }
   }
-  std::sort(pairs.begin(), pairs.end(),
-            [](const MediatedPair& a, const MediatedPair& b) {
-              return a.key != b.key ? a.key < b.key : a.mediator < b.mediator;
-            });
-  // The first of each run of equal keys has the smallest mediator.
-  auto kept_it = kept.begin();
-  size_t out = 0;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (i > 0 && pairs[i - 1].key == pairs[i].key) continue;
-    kept_it = std::lower_bound(kept_it, kept.end(), pairs[i].key);
-    if (kept_it != kept.end() && *kept_it == pairs[i].key) continue;
-    pairs[out++] = pairs[i];
-  }
-  pairs.resize(out);
-  return pairs;
 }
 
-// Distinct path body pairs per first body relation r1, each vector the
-// ascending (r2, x, y) keys of r1's bodies (PackPathKey), within the global
-// `budget`. The serial definition the result reproduces: walk mediators z
-// ascending, add the pairs z newly mediates, and stop before the first
-// mediator at which more than `budget` distinct pairs are already counted.
-// A pair is thus kept iff its first (smallest) mediator comes before that
-// stop. Mediators are walked in ascending blocks of at most `budget` raw
-// combinations (at least one mediator each), so work and memory stay
-// bounded by the budget plus one block; within a block every r1 joins in
-// parallel into its own vector, and the distinct total after each block is
-// exact.
-std::vector<std::vector<uint64_t>> EnumeratePathPairs(
-    const TripleStore& train, const FactIndex& facts, size_t budget,
-    int threads) {
-  const size_t num_relations = static_cast<size_t>(train.num_relations());
+// r1's path keys through mediators below `stop`, each once, ascending.
+std::vector<uint64_t> JoinPaths(const TripleStore& train,
+                                const FactIndex& facts, RelationId r1,
+                                EntityId stop) {
+  std::vector<uint64_t> keys;
+  ForEachPath(train, facts, r1, stop,
+              [&](uint64_t key, EntityId) { keys.push_back(key); });
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+// The mediator before which the global `budget` on distinct path body
+// pairs stops the walk. The serial definition: walk mediators z ascending,
+// add the pairs z first mediates (z is their smallest mediator), and stop
+// right after the mediator whose pairs first take the total over the
+// budget; a pair is kept iff its smallest mediator lies below the returned
+// stop. The distinct pairs never outnumber the raw in x out combinations,
+// so when those fit no cut can happen and no pair is joined here.
+// Otherwise each r1 joins once more to count each of its pairs at its
+// smallest mediator, and the counts sum over r1.
+EntityId PathStop(const TripleStore& train, const FactIndex& facts,
+                  size_t budget, int threads) {
   const EntityId num_entities = train.num_entities();
-  std::vector<std::vector<uint64_t>> kept(num_relations);
-  std::vector<std::vector<MediatedPair>> fresh(num_relations);
-  size_t kept_total = 0;
-  for (EntityId lo = 0; lo < num_entities;) {
-    EntityId hi = lo;
-    size_t raw = 0;
-    while (hi < num_entities) {
-      const size_t combos = facts.combos[static_cast<size_t>(hi)];
-      if (raw > 0 && raw + combos > budget) break;
-      raw += combos;
-      ++hi;
-    }
-    ParallelFor(num_relations, threads,
-                [&](size_t begin, size_t end, int /*shard*/) {
-      for (size_t r1 = begin; r1 < end; ++r1) {
-        fresh[r1] = JoinBlock(train, facts, static_cast<RelationId>(r1), lo,
-                              hi, kept[r1]);
-      }
-    });
-    size_t block_total = 0;
-    for (const auto& pairs : fresh) block_total += pairs.size();
-    // Keep the pairs first mediated below `stop`. When the block can push
-    // the total past the budget, replay its mediators in order: the walk
-    // stops right after the mediator whose new pairs first exceed it.
-    EntityId stop = hi;
-    if (kept_total + block_total > budget) {
-      std::vector<size_t> first_mediated(static_cast<size_t>(hi - lo), 0);
-      for (const auto& pairs : fresh) {
-        for (const MediatedPair& p : pairs) {
-          ++first_mediated[static_cast<size_t>(p.mediator - lo)];
-        }
-      }
-      size_t total = kept_total;
-      for (EntityId z = lo; z < hi; ++z) {
-        total += first_mediated[static_cast<size_t>(z - lo)];
-        if (total > budget) {
-          stop = z + 1;
-          break;
+  size_t raw = 0;
+  for (const size_t combos : facts.combos) raw += combos;
+  if (raw <= budget) return num_entities;
+  const size_t num_relations = static_cast<size_t>(train.num_relations());
+  std::vector<std::vector<size_t>> shard_counts(static_cast<size_t>(
+      std::max(PlannedShards(num_relations, threads), 1)));
+  ParallelFor(num_relations, threads,
+              [&](size_t begin, size_t end, int shard) {
+    std::vector<size_t>& counts = shard_counts[static_cast<size_t>(shard)];
+    counts.assign(static_cast<size_t>(num_entities), 0);
+    std::vector<std::pair<uint64_t, EntityId>> paths;
+    for (size_t r1 = begin; r1 < end; ++r1) {
+      paths.clear();
+      ForEachPath(
+          train, facts, static_cast<RelationId>(r1), num_entities,
+          [&](uint64_t key, EntityId z) { paths.emplace_back(key, z); });
+      // By key, then mediator: the first of each key's run is its smallest.
+      std::sort(paths.begin(), paths.end());
+      for (size_t i = 0; i < paths.size(); ++i) {
+        if (i == 0 || paths[i - 1].first != paths[i].first) {
+          ++counts[static_cast<size_t>(paths[i].second)];
         }
       }
     }
-    ParallelFor(num_relations, threads,
-                [&](size_t begin, size_t end, int /*shard*/) {
-      for (size_t r1 = begin; r1 < end; ++r1) {
-        std::vector<uint64_t> added;
-        added.reserve(fresh[r1].size());
-        for (const MediatedPair& p : fresh[r1]) {
-          if (p.mediator < stop) added.push_back(p.key);
-        }
-        fresh[r1] = {};
-        if (kept[r1].empty()) {
-          kept[r1] = std::move(added);
-        } else {
-          std::vector<uint64_t> merged(kept[r1].size() + added.size());
-          std::merge(kept[r1].begin(), kept[r1].end(), added.begin(),
-                     added.end(), merged.begin());
-          kept[r1] = std::move(merged);
-        }
-      }
-    });
-    kept_total = 0;
-    for (const auto& pairs : kept) kept_total += pairs.size();
-    if (kept_total > budget) break;
-    lo = hi;
+  });
+  size_t total = 0;
+  for (EntityId z = 0; z < num_entities; ++z) {
+    for (const std::vector<size_t>& counts : shard_counts) {
+      if (!counts.empty()) total += counts[static_cast<size_t>(z)];
+    }
+    if (total > budget) return z + 1;
   }
-  return kept;
+  return num_entities;
+}
+
+// The PCA denominator of a rule over its body pairs: the pairs whose
+// subject x has some head-relation fact.
+size_t PcaBody(const TripleStore& train, const Rule& rule,
+               const PairSetView& body_pairs) {
+  const EntitySetView head_subjects = train.Subjects(rule.head);
+  size_t pca_body = 0;
+  for (uint64_t key : body_pairs) {
+    const auto [bx, by] = UnpackPair(key);
+    const EntityId x = rule.kind == RuleBodyKind::kInverse ? by : bx;
+    if (head_subjects.contains(x)) ++pca_body;
+  }
+  return pca_body;
 }
 
 }  // namespace
@@ -376,21 +342,48 @@ std::vector<Rule> MineRules(const TripleStore& train,
   // training split alone, so a retry simply re-mines.
   PhaseBoundary("mine_unary_candidates");
 
+  // --- Unary support/confidence evaluation, sharded over candidates. ------
+  // The PCA denominator — body pairs whose x has some head-relation fact —
+  // is the dominant cost and is independent per candidate. Each candidate
+  // evaluates into its own slot; surviving rules compact in candidate order.
+  std::vector<Rule> finalized(candidates.size());
+  std::vector<uint8_t> survived(candidates.size(), 0);
+  ParallelFor(candidates.size(), options.threads,
+              [&](size_t begin, size_t end, int /*shard*/) {
+    for (size_t i = begin; i < end; ++i) {
+      const RuleCandidate& candidate = candidates[i];
+      Rule rule = candidate.rule;
+      if (FinalizeRule(train, options,
+                       PcaBody(train, rule, candidate.body_pairs), rule)) {
+        finalized[i] = rule;
+        survived[i] = 1;
+      }
+    }
+  });
+  std::vector<Rule> rules;
+  for (size_t i = 0; i < finalized.size(); ++i) {
+    if (survived[i]) rules.push_back(finalized[i]);
+  }
+
   // --- Path rules: r1(x,z) ^ r2(z,y) => rh(x,y). --------------------------
-  // Each r1's vector holds its bodies (r1, r2) as consecutive runs of equal
-  // r2. Rewriting a run's keys to PackPair(x, y) in place makes it the
-  // body's sorted pair array; its per-head support is counted in the same
-  // pass, so each r1 is independent and the bodies shard over r1.
-  std::vector<std::vector<uint64_t>> path_pairs = EnumeratePathPairs(
-      train, facts, options.max_path_pairs, options.threads);
-  size_t path_pair_count = 0;
-  for (const auto& pairs : path_pairs) path_pair_count += pairs.size();
-  std::vector<std::vector<RuleCandidate>> path_local(path_pairs.size());
-  ParallelFor(path_pairs.size(), options.threads,
+  // Each r1 works in a shard of its own and then frees its pairs: it joins
+  // them (below the budget's stop mediator), keeps each once, and takes
+  // its bodies (r1, r2) as the runs of equal r2. Rewriting a run's keys to
+  // PackPair(x, y) in place makes it the body's sorted pair array; its
+  // per-head support is counted in the same pass, and each candidate's PCA
+  // denominator is swept and the rule finalized while the run is held.
+  const EntityId stop =
+      PathStop(train, facts, options.max_path_pairs, options.threads);
+  std::vector<std::vector<Rule>> path_rules(num_bodies);
+  std::vector<size_t> path_pairs(num_bodies, 0);
+  std::vector<size_t> path_candidates(num_bodies, 0);
+  ParallelFor(num_bodies, options.threads,
               [&](size_t begin, size_t end, int /*shard*/) {
     HeadSupport support(num_bodies);
     for (size_t r1 = begin; r1 < end; ++r1) {
-      std::vector<uint64_t>& pairs = path_pairs[r1];
+      std::vector<uint64_t> pairs =
+          JoinPaths(train, facts, static_cast<RelationId>(r1), stop);
+      path_pairs[r1] = pairs.size();
       for (size_t i = 0; i < pairs.size();) {
         const RelationId r2 = static_cast<RelationId>(pairs[i] >> kPathR2Shift);
         size_t j = i;
@@ -407,55 +400,32 @@ std::vector<Rule> MineRules(const TripleStore& train,
             std::span<const uint64_t>(pairs.data() + i, j - i));
         support.Drain([&](RelationId head, size_t head_support) {
           if (head_support < options.min_support) return;
-          RuleCandidate candidate;
-          candidate.rule.kind = RuleBodyKind::kPath;
-          candidate.rule.body1 = static_cast<RelationId>(r1);
-          candidate.rule.body2 = r2;
-          candidate.rule.head = head;
-          candidate.rule.support = head_support;
-          candidate.rule.body_size = body_pairs.size();
-          candidate.body_pairs = body_pairs;
-          path_local[r1].push_back(candidate);
+          ++path_candidates[r1];
+          Rule rule;
+          rule.kind = RuleBodyKind::kPath;
+          rule.body1 = static_cast<RelationId>(r1);
+          rule.body2 = r2;
+          rule.head = head;
+          rule.support = head_support;
+          rule.body_size = body_pairs.size();
+          if (FinalizeRule(train, options, PcaBody(train, rule, body_pairs),
+                           rule)) {
+            path_rules[r1].push_back(rule);
+          }
         });
         i = j;
       }
     }
   });
-  for (std::vector<RuleCandidate>& local : path_local) {
-    candidates.insert(candidates.end(), local.begin(), local.end());
+  size_t candidate_count = candidates.size();
+  size_t path_pair_count = 0;
+  for (size_t r1 = 0; r1 < num_bodies; ++r1) {
+    rules.insert(rules.end(), path_rules[r1].begin(), path_rules[r1].end());
+    candidate_count += path_candidates[r1];
+    path_pair_count += path_pairs[r1];
   }
-
   PhaseBoundary("mine_path_candidates");
 
-  // --- Support/confidence evaluation, sharded over candidates. ------------
-  // The PCA denominator — body pairs whose x has some head-relation fact —
-  // is the dominant cost and is independent per candidate. Each candidate
-  // evaluates into its own slot; surviving rules compact in candidate order.
-  std::vector<Rule> finalized(candidates.size());
-  std::vector<uint8_t> survived(candidates.size(), 0);
-  ParallelFor(candidates.size(), options.threads,
-              [&](size_t begin, size_t end, int /*shard*/) {
-    for (size_t i = begin; i < end; ++i) {
-      const RuleCandidate& candidate = candidates[i];
-      const EntitySetView head_subjects = train.Subjects(candidate.rule.head);
-      size_t pca_body = 0;
-      for (uint64_t key : candidate.body_pairs) {
-        const auto [bx, by] = UnpackPair(key);
-        const EntityId x =
-            candidate.rule.kind == RuleBodyKind::kInverse ? by : bx;
-        if (head_subjects.contains(x)) ++pca_body;
-      }
-      Rule rule = candidate.rule;
-      if (FinalizeRule(train, options, pca_body, rule)) {
-        finalized[i] = rule;
-        survived[i] = 1;
-      }
-    }
-  });
-  std::vector<Rule> rules;
-  for (size_t i = 0; i < finalized.size(); ++i) {
-    if (survived[i]) rules.push_back(finalized[i]);
-  }
   // Counted after the sharded evaluation so every total is shard-plan
   // independent.
   static obs::Counter& candidates_counter =
@@ -464,7 +434,7 @@ std::vector<Rule> MineRules(const TripleStore& train,
       obs::Registry::Get().GetCounter(obs::kAmieRulesKept);
   static obs::Counter& path_pairs_counter =
       obs::Registry::Get().GetCounter(obs::kAmiePathPairs);
-  candidates_counter.Add(candidates.size());
+  candidates_counter.Add(candidate_count);
   kept_counter.Add(rules.size());
   path_pairs_counter.Add(path_pair_count);
 

@@ -15,9 +15,11 @@
 // loops they replaced, including dense's sequential float sums (its 8 x 8
 // register transposes only move data) and the conv backward's walk, in
 // which each position reads the filter the previous one stepped, so
-// trained models are the same bits as well. A NaN result is NaN on every path, but its sign
-// and payload are not pinned: IEEE 754 leaves them open, and the compiler
-// may commute operands or fold a negation that picks them.
+// trained models are the same bits as well. The float twins of the sweeps
+// (KernelOps::*_bound) reduce in float through the same lane shape, so
+// their values agree across paths too. A NaN result is NaN on every path,
+// but its sign and payload are not pinned: IEEE 754 leaves them open, and
+// the compiler may commute operands or fold a negation that picks them.
 //
 // Dispatch
 // --------
@@ -211,6 +213,47 @@ struct KernelOps {
                           const float* pre, const float* gpre, size_t nf,
                           size_t k, float lr, float* w, float* acc,
                           float* gbias, float* gin);
+
+  /// Float twins of the single-query sweeps, same arguments: per row an
+  /// approximation approx[i], reduced in float through the same 8-lane
+  /// shape, and a bound err[i] with |approx[i] - out[i]| <= err[i], where
+  /// out[i] is what the exact kernel writes, wherever both are finite (err
+  /// is infinite on overflow or NaN). The bounds follow from float's
+  /// rounding model; vecmath_kernels.inc derives each kind's.
+  void (*dot_rows_bound)(const float* q, const float* rows, size_t num_rows,
+                         size_t stride, size_t dim, float* approx,
+                         float* err);
+  void (*l1_rows_bound)(const float* q, const float* rows, size_t num_rows,
+                        size_t stride, size_t dim, float* approx, float* err);
+  void (*l2_rows_bound)(const float* q, const float* rows, size_t num_rows,
+                        size_t stride, size_t dim, float* approx, float* err);
+  void (*l1_offset_rows_bound)(const float* q, const float* v,
+                               const float* coef, float coef_scale,
+                               const float* rows, size_t num_rows,
+                               size_t stride, size_t dim, float* approx,
+                               float* err);
+  void (*l2_offset_rows_bound)(const float* q, const float* v,
+                               const float* coef, float coef_scale,
+                               const float* rows, size_t num_rows,
+                               size_t stride, size_t dim, float* approx,
+                               float* err);
+  void (*cabs_rows_bound)(const float* q, const float* rows, size_t num_rows,
+                          size_t stride, size_t half_dim, float* approx,
+                          float* err);
+
+  /// Score intervals from a twin's output, in place: lo[i] and hi[i] hold
+  /// a twin's approx[i] and err[i] on entry, and on return approx[i] -
+  /// err[i] and approx[i] + err[i] rounded outward, plus bias[i] (unless
+  /// bias is null) with the one float add a sweep's bias makes, swapped
+  /// and negated when `negate` is set, as a sweep's sign is. Returns false
+  /// when some end is not finite.
+  bool (*twin_interval)(float* lo, float* hi, const float* bias, bool negate,
+                        size_t n);
+
+  /// Returns how many rows straddle t (lo[i] <= t <= hi[i]) and stores how
+  /// many lie above it (lo[i] > t) in *above; n < 2^32.
+  size_t (*count_straddling)(const float* lo, const float* hi, size_t n,
+                             float t, size_t* above);
 };
 
 enum class KernelPath { kGeneric = 0, kNative = 1 };

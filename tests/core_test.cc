@@ -56,7 +56,7 @@ TEST(RankIoTest, OversizedEntryCountIsError) {
   // instead of sizing an allocation by it.
   const std::string path = TempCacheDir("kgc_ranks_oversized.bin");
   BinaryWriter writer;
-  writer.WriteU32(0x4b524e4bU);  // "KRNK"
+  writer.WriteU32(0x4b524e32U);  // "KRN2", the current rank cache magic
   writer.WriteU64(uint64_t{1} << 40);
   for (int i = 0; i < 3; ++i) writer.WriteI32(i);
   for (int i = 0; i < 4; ++i) writer.WriteDouble(1.0);

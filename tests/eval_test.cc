@@ -91,6 +91,23 @@ TEST(RankerTest, CustomFilterStore) {
   EXPECT_DOUBLE_EQ(ranks[0].tail_filtered, 1.0);
 }
 
+TEST(RankerTest, KnownFactStoredTwiceAboveTruthFiltersOnce) {
+  // Tail query (0, r, ?): only e1 outscores the true tail e3, and the
+  // store holds (0, r, 1) twice. Filtering it once per stored copy
+  // subtracted two from a count of one and wrapped the filtered rank to
+  // about 1.8e19; it is one entity, filtered once.
+  const StubPredictor predictor({0.1f, 0.9f, 0.3f, 0.5f, 0.2f});
+  Vocab vocab;
+  for (int i = 0; i < 5; ++i) vocab.InternEntity("e" + std::to_string(i));
+  vocab.InternRelation("r");
+  const Dataset dataset("twice", vocab, {{0, 0, 1}, {0, 0, 1}}, {},
+                        {{0, 0, 3}});
+  const auto ranks = RankTriples(predictor, dataset, dataset.test());
+  ASSERT_EQ(ranks.size(), 1u);
+  EXPECT_DOUBLE_EQ(ranks[0].tail_raw, 2.0);
+  EXPECT_DOUBLE_EQ(ranks[0].tail_filtered, 1.0);
+}
+
 TEST(RankerTest, NanTrueScoreRanksAfterEveryNumber) {
   // Tail query (0, r, ?): the true tail e3 scores NaN. It ranks after the
   // three numbers and ties with e1, the other NaN: 3 + 1/2 + 1. Filtered,

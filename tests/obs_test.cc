@@ -205,6 +205,38 @@ TEST(TraceTest, TrainModelRollsUpPerModelAndDataset) {
   obs::ResetTracingForTest();
 }
 
+// One rank_triples sweep carries several models; each shard times its
+// share of each, and the sweep rolls the sums up per model and dataset.
+TEST(TraceTest, RankTriplesRollsUpPerModelAndDataset) {
+  obs::ResetTracingForTest();
+  obs::EnableSpanRollups();
+  const SyntheticKg kg = GenerateTiny(5);
+  std::vector<std::unique_ptr<KgeModel>> models;
+  std::vector<const LinkPredictor*> predictors;
+  for (const ModelType type : {ModelType::kTransE, ModelType::kDistMult}) {
+    models.push_back(CreateModel(type, kg.dataset.num_entities(),
+                                 kg.dataset.num_relations(),
+                                 DefaultHyperParams(type)));
+    predictors.push_back(models.back().get());
+  }
+  RankerOptions options;
+  options.threads = 2;
+  RankTriples(predictors, kg.dataset, kg.dataset.test(), options);
+  std::map<std::string, obs::SpanRollup> rollups;
+  for (const obs::SpanRollup& r : obs::CollectSpanRollups()) {
+    rollups[r.name] = r;
+  }
+  const std::string dataset = kg.dataset.name();
+  EXPECT_EQ(rollups["rank_triples"].count, 1u);
+  for (const char* model : {"TransE", "DistMult"}) {
+    const obs::SpanRollup& r =
+        rollups["rank_triples/" + std::string(model) + "@" + dataset];
+    EXPECT_EQ(r.count, 1u) << model;
+    EXPECT_GT(r.total_seconds, 0.0) << model;
+  }
+  obs::ResetTracingForTest();
+}
+
 // --- Counter bit-identity across thread counts -----------------------------
 
 // Constant-score predictor over the synthetic KG (ranking output does not
@@ -231,8 +263,15 @@ obs::MetricsSnapshot RunInstrumentedPipeline(const SyntheticKg& kg,
 
   RankerOptions ranker_options;
   ranker_options.threads = threads;
+  // A rule-like predictor ranks through its exact scores, a model through
+  // bounded pre-passes and exact rescores.
   const FlatPredictor predictor(kg.dataset.num_entities());
-  RankTriples(predictor, kg.dataset, kg.dataset.test(), ranker_options);
+  const auto model =
+      CreateModel(ModelType::kTransE, kg.dataset.num_entities(),
+                  kg.dataset.num_relations(),
+                  DefaultHyperParams(ModelType::kTransE));
+  const LinkPredictor* const predictors[] = {&predictor, model.get()};
+  RankTriples(predictors, kg.dataset, kg.dataset.test(), ranker_options);
 
   DetectorOptions detector_options;
   detector_options.threads = threads;
@@ -259,9 +298,11 @@ TEST(DeterminismTest, CountersBitIdenticalAcrossThreadCounts) {
         << " differs between 1 and 4 threads";
   }
   // And the work counters actually counted something. score_evals counts
-  // the sweeps the query-deduplicated ranker actually performed: one per
-  // unique (relation, head) tail query plus one per unique (relation, tail)
-  // head query, each over num_entities candidates.
+  // the sweeps (exact or bounded) the query-deduplicated ranker performed
+  // per predictor: one per unique (relation, head) tail query plus one per
+  // unique (relation, tail) head query, each over num_entities candidates.
+  // exact_rescores counts the model's single-row scores, at least its true
+  // entity's for each of a triple's two ranks.
   std::set<std::pair<RelationId, EntityId>> tail_queries;
   std::set<std::pair<RelationId, EntityId>> head_queries;
   for (const Triple& t : kg.dataset.test()) {
@@ -271,20 +312,23 @@ TEST(DeterminismTest, CountersBitIdenticalAcrossThreadCounts) {
   const uint64_t unique_queries = tail_queries.size() + head_queries.size();
   for (const obs::CounterSample& c : serial.counters) {
     if (c.name == obs::kRankerTriplesRanked) {
-      EXPECT_EQ(c.value, kg.dataset.test().size());
+      EXPECT_EQ(c.value, 2u * kg.dataset.test().size());
+    }
+    if (c.name == obs::kRankerExactRescores) {
+      EXPECT_GE(c.value, 2u * kg.dataset.test().size());
     }
     if (c.name == obs::kRedundancyTriplesClassified) {
       EXPECT_EQ(c.value, kg.dataset.test().size());
     }
     if (c.name == obs::kRankerScoreEvals) {
-      EXPECT_EQ(c.value, unique_queries * static_cast<uint64_t>(
-                                              kg.dataset.num_entities()));
+      EXPECT_EQ(c.value, 2u * unique_queries *
+                             static_cast<uint64_t>(kg.dataset.num_entities()));
     }
     if (c.name == obs::kRankerQueryCacheMisses) {
-      EXPECT_EQ(c.value, unique_queries);
+      EXPECT_EQ(c.value, 2u * unique_queries);
     }
     if (c.name == obs::kRankerQueryCacheHits) {
-      EXPECT_EQ(c.value, 2u * kg.dataset.test().size() - unique_queries);
+      EXPECT_EQ(c.value, 2u * (2u * kg.dataset.test().size() - unique_queries));
     }
     if (c.name == obs::kAmiePathPairs) {
       EXPECT_GT(c.value, 0u);

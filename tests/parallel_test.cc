@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <tuple>
@@ -18,13 +21,16 @@
 
 #include "eval/ranker.h"
 #include "kg/dataset.h"
+#include "models/model.h"
 #include "obs/metrics.h"
 #include "redundancy/detectors.h"
 #include "redundancy/leakage.h"
 #include "rules/amie.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 #include "util/thread_pool.h"
+#include "util/vecmath.h"
 
 namespace kgc {
 namespace {
@@ -241,25 +247,25 @@ std::string TableBytes(const std::vector<TripleRanks>& table) {
   return bytes;
 }
 
-/// How many times the default filter store (train + valid + test) holds
-/// each fact.
+/// How many times a filter store holds each fact.
 using FactCopies = std::map<std::tuple<EntityId, RelationId, EntityId>, int>;
 
-FactCopies StoredCopies(const Dataset& dataset) {
+FactCopies StoredCopies(const TripleStore& store) {
   FactCopies copies;
-  for (const TripleList* split :
-       {&dataset.train(), &dataset.valid(), &dataset.test()}) {
-    for (const Triple& t : *split) ++copies[{t.head, t.relation, t.tail}];
+  for (const Triple& t : store.triples()) {
+    ++copies[{t.head, t.relation, t.tail}];
   }
   return copies;
 }
 
 /// Brute-force tie-averaged raw and filtered rank of `truth` among
-/// `scores`; `copies_of(e)` is how many times candidate e is a stored fact.
+/// `scores`; `copies_of(e)` is how many times candidate e is filtered. A
+/// NaN true score ranks after every number, tied with the other NaNs.
 template <typename CopiesOf>
 void ReferenceRank(const std::vector<float>& scores, EntityId truth,
                    const CopiesOf& copies_of, double* raw, double* filtered) {
   const float s_true = scores[static_cast<size_t>(truth)];
+  const bool nan_true = std::isnan(s_true);
   double greater = 0;
   double equal = 0;
   double greater_known = 0;
@@ -267,10 +273,11 @@ void ReferenceRank(const std::vector<float>& scores, EntityId truth,
   for (size_t e = 0; e < scores.size(); ++e) {
     const EntityId candidate = static_cast<EntityId>(e);
     if (candidate == truth) continue;
-    if (scores[e] > s_true) {
+    const float s = scores[e];
+    if (nan_true ? !std::isnan(s) : s > s_true) {
       greater += 1;
       greater_known += copies_of(candidate);
-    } else if (scores[e] == s_true) {
+    } else if (nan_true ? std::isnan(s) : s == s_true) {
       equal += 1;
       equal_known += copies_of(candidate);
     }
@@ -280,14 +287,16 @@ void ReferenceRank(const std::vector<float>& scores, EntityId truth,
 }
 
 /// The per-triple reference RankTriples must reproduce: both sides of every
-/// test triple scored by a sweep of their own and ranked by ReferenceRank,
-/// each candidate filtered once per stored copy of its triple.
+/// test triple scored by a full sweep of their own and ranked by
+/// ReferenceRank, each candidate that is a known fact of `filter` (default:
+/// the dataset's splits) filtered once, however often the store holds it.
 std::vector<TripleRanks> BruteForceRanks(const LinkPredictor& predictor,
-                                         const Dataset& dataset) {
-  const FactCopies copies = StoredCopies(dataset);
-  const auto copies_of = [&](EntityId h, RelationId r, EntityId t) {
-    const auto it = copies.find({h, r, t});
-    return it == copies.end() ? 0 : it->second;
+                                         const Dataset& dataset,
+                                         const TripleStore* filter = nullptr) {
+  const FactCopies copies =
+      StoredCopies(filter != nullptr ? *filter : dataset.all_store());
+  const auto known = [&](EntityId h, RelationId r, EntityId t) {
+    return copies.contains({h, r, t}) ? 1 : 0;
   };
   std::vector<TripleRanks> ranks(dataset.test().size());
   std::vector<float> scores(static_cast<size_t>(predictor.num_entities()));
@@ -298,12 +307,12 @@ std::vector<TripleRanks> BruteForceRanks(const LinkPredictor& predictor,
     predictor.ScoreTails(t.head, t.relation, scores);
     ReferenceRank(
         scores, t.tail,
-        [&](EntityId e) { return copies_of(t.head, t.relation, e); },
+        [&](EntityId e) { return known(t.head, t.relation, e); },
         &out.tail_raw, &out.tail_filtered);
     predictor.ScoreHeads(t.relation, t.tail, scores);
     ReferenceRank(
         scores, t.head,
-        [&](EntityId e) { return copies_of(e, t.relation, t.tail); },
+        [&](EntityId e) { return known(e, t.relation, t.tail); },
         &out.head_raw, &out.head_filtered);
   }
   return ranks;
@@ -476,12 +485,12 @@ TEST(ParallelDeterminismTest, MultiPredictorSweepMatchesSingleCalls) {
   }
 }
 
-TEST(ParallelDeterminismTest, DuplicateFactsFilterOncePerStoredCopy) {
+TEST(ParallelDeterminismTest, DuplicateFactsFilterOncePerFact) {
   // Relation-0 train triples are partly stored twice. The filtered rank
-  // takes a known fact out once per stored copy, so a duplicated fact that
-  // outscores the true entity lowers the rank by two. Ranks must equal a
-  // brute-force reference that counts every candidate once per stored copy
-  // of its triple, at every thread count.
+  // takes a known fact out once however often the store holds it: a rank
+  // is a position among entities, and the duplicated fact is one entity.
+  // Ranks must equal a brute-force reference that filters every known
+  // candidate once, at every thread count.
   const int32_t num_entities = 30;
   Vocab vocab;
   for (int32_t i = 0; i < num_entities; ++i) {
@@ -509,20 +518,22 @@ TEST(ParallelDeterminismTest, DuplicateFactsFilterOncePerStoredCopy) {
 
   const std::vector<TripleRanks> expected =
       BruteForceRanks(predictor, dataset);
-  // Would counting each fact once give a different tail rank somewhere?
-  const FactCopies copies = StoredCopies(dataset);
+  // Would filtering once per stored copy give a different tail rank
+  // somewhere?
+  const FactCopies copies = StoredCopies(dataset.all_store());
   bool duplicate_filtered = false;
   std::vector<float> scores(static_cast<size_t>(num_entities));
   for (size_t i = 0; i < dataset.test().size(); ++i) {
     const Triple& t = dataset.test()[i];
     predictor.ScoreTails(t.head, t.relation, scores);
-    const auto tail_once = [&](EntityId e) {
-      return copies.contains({t.head, t.relation, e}) ? 1 : 0;
+    const auto per_copy = [&](EntityId e) {
+      const auto it = copies.find({t.head, t.relation, e});
+      return it == copies.end() ? 0 : it->second;
     };
     double raw = 0;
-    double once = 0;
-    ReferenceRank(scores, t.tail, tail_once, &raw, &once);
-    if (once != expected[i].tail_filtered) duplicate_filtered = true;
+    double twice = 0;
+    ReferenceRank(scores, t.tail, per_copy, &raw, &twice);
+    if (twice != expected[i].tail_filtered) duplicate_filtered = true;
   }
   // Otherwise the duplicates never reach a filtered rank and the check is
   // vacuous.
@@ -532,8 +543,12 @@ TEST(ParallelDeterminismTest, DuplicateFactsFilterOncePerStoredCopy) {
     SCOPED_TRACE(testing::Message() << "threads " << threads);
     RankerOptions options;
     options.threads = threads;
-    ExpectSameRanks(expected,
-                    RankTriples(predictor, dataset, dataset.test(), options));
+    const auto ranks = RankTriples(predictor, dataset, dataset.test(), options);
+    ExpectSameRanks(expected, ranks);
+    for (const TripleRanks& r : ranks) {
+      EXPECT_LE(r.head_filtered, r.head_raw);
+      EXPECT_LE(r.tail_filtered, r.tail_raw);
+    }
   }
 }
 
@@ -549,6 +564,224 @@ TEST(ParallelDeterminismTest, RankTriplesHandlesEmptyTestSplit) {
   options.threads = 4;
   EXPECT_TRUE(
       RankTriples(predictor, dataset, dataset.test(), options).empty());
+}
+
+// --- Bounded ranking: float pre-pass plus exact refinement -----------------
+
+/// A dataset over `num_entities` entities and 4 relations whose test split
+/// shares anchors with train, so filters and repeated queries both occur.
+Dataset BoundedRankDataset(int32_t num_entities) {
+  Vocab vocab;
+  for (int32_t i = 0; i < num_entities; ++i) {
+    vocab.InternEntity("e" + std::to_string(i));
+  }
+  for (int r = 0; r < 4; ++r) vocab.InternRelation("r" + std::to_string(r));
+  Rng rng(31);
+  TripleList train;
+  TripleList test;
+  for (int i = 0; i < 240; ++i) {
+    Triple t{static_cast<EntityId>(rng.Uniform(num_entities / 3)),
+             static_cast<RelationId>(rng.Uniform(4)),
+             static_cast<EntityId>(rng.Uniform(num_entities))};
+    (i % 4 == 0 ? test : train).push_back(t);
+    if (i % 17 == 0) train.push_back(t);  // some facts stored twice
+  }
+  return Dataset("bounded", std::move(vocab), std::move(train), {},
+                 std::move(test));
+}
+
+/// Rewrites the rows of the model's `table`-th parameter table (0 = the
+/// entity table, which every model serializes first; TuckER after its two
+/// dims) through `edit(floats, dim)`. A table is written as rows, dim and
+/// count, the floats, then an optimizer flag and its accumulators.
+template <typename Edit>
+void EditTableRows(KgeModel& model, int table, Edit edit) {
+  BinaryWriter writer;
+  model.Serialize(writer);
+  std::vector<uint8_t> bytes = writer.buffer();
+  size_t offset = model.type() == ModelType::kTuckER ? 2 * sizeof(int32_t) : 0;
+  const auto read_u64 = [&](size_t at) {
+    uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    return v;
+  };
+  for (int t = 0; t < table; ++t) {
+    offset += 3 * sizeof(int64_t) + read_u64(offset + 16) * sizeof(float);
+    uint32_t adagrad = 0;
+    std::memcpy(&adagrad, bytes.data() + offset, sizeof(adagrad));
+    offset += sizeof(adagrad);
+    if (adagrad != 0) {
+      offset += sizeof(uint64_t) + read_u64(offset) * sizeof(float);
+    }
+  }
+  const size_t dim = read_u64(offset + 8);
+  std::vector<float> floats(read_u64(offset + 16));
+  offset += 3 * sizeof(int64_t);
+  std::memcpy(floats.data(), bytes.data() + offset,
+              floats.size() * sizeof(float));
+  edit(floats, dim);
+  std::memcpy(bytes.data() + offset, floats.data(),
+              floats.size() * sizeof(float));
+  BinaryReader reader(std::move(bytes));
+  ASSERT_TRUE(model.Deserialize(reader).ok());
+}
+
+/// Ties and near-ties among the candidates: every entity e with e % 4 == 1
+/// copies entity e - 1's row, and e % 4 == 2 copies it with its first float
+/// one ulp higher, so exact ties and scores a bound cannot separate both
+/// occur next to the true entities.
+void TieEntityRows(std::vector<float>& table, size_t dim) {
+  const size_t rows = table.size() / dim;
+  for (size_t e = 0; e < rows; ++e) {
+    if (e % 4 == 0 || e % 4 == 3) continue;
+    const size_t from = (e - e % 4) * dim;
+    std::copy(table.begin() + static_cast<long>(from),
+              table.begin() + static_cast<long>(from + dim),
+              table.begin() + static_cast<long>(e * dim));
+    if (e % 4 == 2) {
+      float& x = table[e * dim];
+      x = std::nextafter(x, std::numeric_limits<float>::infinity());
+    }
+  }
+}
+
+struct BoundedCase {
+  std::string label;
+  std::unique_ptr<KgeModel> model;
+};
+
+/// All ten models and the L1 variants of the translational ones, with
+/// tie-heavy entity rows.
+std::vector<BoundedCase> BoundedCases(int32_t num_entities) {
+  std::vector<BoundedCase> cases;
+  const ModelType all[] = {
+      ModelType::kTransE,  ModelType::kTransH,  ModelType::kTransR,
+      ModelType::kTransD,  ModelType::kRescal,  ModelType::kDistMult,
+      ModelType::kComplEx, ModelType::kRotatE,  ModelType::kTuckER,
+      ModelType::kConvE};
+  for (const ModelType type : all) {
+    for (const bool l1 : {false, true}) {
+      const bool translational =
+          type == ModelType::kTransE || type == ModelType::kTransH ||
+          type == ModelType::kTransR || type == ModelType::kTransD;
+      if (l1 && !translational) continue;
+      ModelHyperParams params = DefaultHyperParams(type);
+      params.dim = 16;
+      params.dim2 = 4;
+      params.l1_distance = l1;
+      auto model = CreateModel(type, num_entities, 4, params);
+      EditTableRows(*model, 0, TieEntityRows);
+      // TransD's candidates also carry their own projection rows.
+      if (type == ModelType::kTransD) EditTableRows(*model, 1, TieEntityRows);
+      cases.push_back({std::string(ModelTypeName(type)) + (l1 ? "-L1" : ""),
+                       std::move(model)});
+    }
+  }
+  return cases;
+}
+
+/// Every kernel path this build and CPU can run.
+std::vector<vec::KernelPath> KernelPaths() {
+  std::vector<vec::KernelPath> paths = {vec::KernelPath::kGeneric};
+  if (vec::NativeKernelsAvailable()) paths.push_back(vec::KernelPath::kNative);
+  return paths;
+}
+
+/// Ranks `model` at threads 1, 2 and 4 on every kernel path and expects the
+/// brute-force reference's ranks each time; returns the exact rescores the
+/// runs took.
+uint64_t ExpectBoundedRanksMatchReference(const KgeModel& model,
+                                          const Dataset& dataset,
+                                          const TripleStore* filter,
+                                          const std::string& label) {
+  obs::Counter& rescores =
+      obs::Registry::Get().GetCounter(obs::kRankerExactRescores);
+  const uint64_t before = rescores.value();
+  const bool was_native = std::strcmp(vec::Ops().name, "native") == 0;
+  for (const vec::KernelPath path : KernelPaths()) {
+    vec::SetKernelPathForTest(path);
+    const std::vector<TripleRanks> expected =
+        BruteForceRanks(model, dataset, filter);
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << label << " path " << vec::Ops().name << " threads "
+                   << threads);
+      RankerOptions options;
+      options.threads = threads;
+      options.filter = filter;
+      ExpectSameRanks(expected,
+                      RankTriples(model, dataset, dataset.test(), options));
+    }
+  }
+  vec::SetKernelPathForTest(was_native ? vec::KernelPath::kNative
+                                       : vec::KernelPath::kGeneric);
+  return rescores.value() - before;
+}
+
+TEST(BoundedRankTest, EveryModelMatchesBruteForceOnBothKernelPaths) {
+  const int32_t num_entities = 64;
+  const Dataset dataset = BoundedRankDataset(num_entities);
+  const uint64_t ranks_per_run = 2 * dataset.test().size();
+  for (const BoundedCase& c : BoundedCases(num_entities)) {
+    const uint64_t rescores =
+        ExpectBoundedRanksMatchReference(*c.model, dataset, nullptr, c.label);
+    // Every rank rescored its true entity; the tied rows must have made
+    // some rank rescore more, or the refinement went untested.
+    const uint64_t runs = 3 * KernelPaths().size();
+    EXPECT_GT(rescores, runs * ranks_per_run) << c.label;
+  }
+}
+
+TEST(BoundedRankTest, AllTiedScoresRankAtTheMiddle) {
+  // All-zero DistMult rows: every score is exactly 0, so every candidate
+  // straddles the true score and is rescored.
+  const int32_t num_entities = 40;
+  const Dataset dataset = BoundedRankDataset(num_entities);
+  ModelHyperParams params = DefaultHyperParams(ModelType::kDistMult);
+  params.dim = 16;
+  auto model = CreateModel(ModelType::kDistMult, num_entities, 4, params);
+  EditTableRows(*model, 0, [](std::vector<float>& table, size_t) {
+    std::fill(table.begin(), table.end(), 0.0f);
+  });
+  ExpectBoundedRanksMatchReference(*model, dataset, nullptr, "zero DistMult");
+  const auto ranks = RankTriples(*model, dataset, dataset.test());
+  for (const TripleRanks& r : ranks) {
+    EXPECT_EQ(r.tail_raw, (num_entities - 1) / 2.0 + 1.0);
+    EXPECT_EQ(r.head_raw, (num_entities - 1) / 2.0 + 1.0);
+  }
+}
+
+TEST(BoundedRankTest, CustomFilterStoreMatchesBruteForce) {
+  // A world store with extra facts, one of them stored twice.
+  const int32_t num_entities = 64;
+  const Dataset dataset = BoundedRankDataset(num_entities);
+  TripleList world = dataset.all_store().triples();
+  Rng rng(5);
+  for (int i = 0; i < 150; ++i) {
+    const Triple& t = dataset.test()[rng.Uniform(dataset.test().size())];
+    world.push_back({t.head, t.relation,
+                     static_cast<EntityId>(rng.Uniform(num_entities))});
+  }
+  world.push_back(world.back());
+  const TripleStore store(std::move(world), num_entities, 4);
+  for (const BoundedCase& c : BoundedCases(num_entities)) {
+    ExpectBoundedRanksMatchReference(*c.model, dataset, &store, c.label);
+  }
+}
+
+TEST(BoundedRankTest, NanParametersFallBackToExactScores) {
+  // A NaN in the anchor's or a candidate's row makes the group's bounds
+  // non-finite; those groups rank through exact scores, NaN rule included.
+  const int32_t num_entities = 64;
+  const Dataset dataset = BoundedRankDataset(num_entities);
+  const EntityId poisoned = dataset.test()[0].tail;
+  for (const BoundedCase& c : BoundedCases(num_entities)) {
+    EditTableRows(*c.model, 0, [&](std::vector<float>& table, size_t dim) {
+      table[static_cast<size_t>(poisoned) * dim + dim / 2] =
+          std::numeric_limits<float>::quiet_NaN();
+    });
+    ExpectBoundedRanksMatchReference(*c.model, dataset, nullptr, c.label);
+  }
 }
 
 TEST(ParallelDeterminismTest, DetectorCatalogIsThreadCountInvariant) {

@@ -785,6 +785,338 @@ TEST(VecMathTest, BlockSweepsMatchSingleQueryBitExactly) {
   }
 }
 
+// --- Float twins -------------------------------------------------------------
+
+enum class Twin { kDot, kL1, kL2, kL1Offset, kL2Offset, kCabs };
+constexpr Twin kTwins[] = {Twin::kDot,      Twin::kL1,       Twin::kL2,
+                           Twin::kL1Offset, Twin::kL2Offset, Twin::kCabs};
+
+const char* TwinName(Twin twin) {
+  switch (twin) {
+    case Twin::kDot:
+      return "dot";
+    case Twin::kL1:
+      return "l1";
+    case Twin::kL2:
+      return "l2";
+    case Twin::kL1Offset:
+      return "l1_offset";
+    case Twin::kL2Offset:
+      return "l2_offset";
+    case Twin::kCabs:
+      return "cabs";
+  }
+  return "?";
+}
+
+/// One sweep's arguments. `dim` is half_dim for cabs, whose query and rows
+/// hold 2 * dim floats.
+struct TwinInput {
+  size_t dim = 0;
+  size_t num_rows = 0;
+  std::vector<float> q;
+  std::vector<float> v;
+  std::vector<float> coef;
+  float coef_scale = 1.0f;
+  std::vector<float> rows;
+};
+
+size_t Width(Twin twin, size_t dim) {
+  return twin == Twin::kCabs ? 2 * dim : dim;
+}
+
+TwinInput MakeTwinInput(Twin twin, size_t dim, size_t num_rows) {
+  TwinInput in;
+  in.dim = dim;
+  in.num_rows = num_rows;
+  in.q.assign(Width(twin, dim), 0.0f);
+  in.v.assign(dim, 0.0f);
+  in.coef.assign(num_rows, 0.0f);
+  in.rows.assign(num_rows * Width(twin, dim), 0.0f);
+  return in;
+}
+
+void RunExact(const vec::KernelOps& ops, Twin twin, const TwinInput& in,
+              float* out) {
+  const size_t stride = Width(twin, in.dim);
+  switch (twin) {
+    case Twin::kDot:
+      return ops.dot_rows(in.q.data(), in.rows.data(), in.num_rows, stride,
+                          in.dim, out);
+    case Twin::kL1:
+      return ops.l1_rows(in.q.data(), in.rows.data(), in.num_rows, stride,
+                         in.dim, out);
+    case Twin::kL2:
+      return ops.l2_rows(in.q.data(), in.rows.data(), in.num_rows, stride,
+                         in.dim, out);
+    case Twin::kL1Offset:
+      return ops.l1_offset_rows(in.q.data(), in.v.data(), in.coef.data(),
+                                in.coef_scale, in.rows.data(), in.num_rows,
+                                stride, in.dim, out);
+    case Twin::kL2Offset:
+      return ops.l2_offset_rows(in.q.data(), in.v.data(), in.coef.data(),
+                                in.coef_scale, in.rows.data(), in.num_rows,
+                                stride, in.dim, out);
+    case Twin::kCabs:
+      return ops.cabs_rows(in.q.data(), in.rows.data(), in.num_rows, stride,
+                           in.dim, out);
+  }
+}
+
+void RunTwin(const vec::KernelOps& ops, Twin twin, const TwinInput& in,
+             float* approx, float* err) {
+  const size_t stride = Width(twin, in.dim);
+  switch (twin) {
+    case Twin::kDot:
+      return ops.dot_rows_bound(in.q.data(), in.rows.data(), in.num_rows,
+                                stride, in.dim, approx, err);
+    case Twin::kL1:
+      return ops.l1_rows_bound(in.q.data(), in.rows.data(), in.num_rows,
+                               stride, in.dim, approx, err);
+    case Twin::kL2:
+      return ops.l2_rows_bound(in.q.data(), in.rows.data(), in.num_rows,
+                               stride, in.dim, approx, err);
+    case Twin::kL1Offset:
+      return ops.l1_offset_rows_bound(in.q.data(), in.v.data(),
+                                      in.coef.data(), in.coef_scale,
+                                      in.rows.data(), in.num_rows, stride,
+                                      in.dim, approx, err);
+    case Twin::kL2Offset:
+      return ops.l2_offset_rows_bound(in.q.data(), in.v.data(),
+                                      in.coef.data(), in.coef_scale,
+                                      in.rows.data(), in.num_rows, stride,
+                                      in.dim, approx, err);
+    case Twin::kCabs:
+      return ops.cabs_rows_bound(in.q.data(), in.rows.data(), in.num_rows,
+                                 stride, in.dim, approx, err);
+  }
+}
+
+/// Checks, on every kernel path, that each row's twin bound holds the exact
+/// kernel's result wherever the twin's approximation and bound are finite,
+/// and that the twin's values are the same bits on every path. Returns the
+/// largest |approx - exact| / err seen, and counts the rows claimed.
+double CheckTwinBounds(Twin twin, const TwinInput& in, const char* family,
+                       size_t* claimed = nullptr) {
+  const size_t n = in.num_rows;
+  std::vector<float> exact(n);
+  std::vector<float> approx(n);
+  std::vector<float> err(n);
+  std::vector<float> first_approx;
+  std::vector<float> first_err;
+  double worst = 0.0;
+  for (const vec::KernelOps* ops : AllPaths()) {
+    RunExact(*ops, twin, in, exact.data());
+    RunTwin(*ops, twin, in, approx.data(), err.data());
+    for (size_t i = 0; i < n; ++i) {
+      if (!std::isfinite(approx[i]) || !std::isfinite(err[i])) continue;
+      const double gap = std::abs(static_cast<double>(approx[i]) -
+                                  static_cast<double>(exact[i]));
+      EXPECT_LE(gap, static_cast<double>(err[i]))
+          << TwinName(twin) << " " << family << " " << ops->name
+          << " dim=" << in.dim << " row=" << i << ": exact " << exact[i]
+          << ", approx " << approx[i] << ", bound " << err[i];
+      worst = std::max(worst, gap / static_cast<double>(err[i]));
+      if (claimed != nullptr && ops == AllPaths().front()) ++*claimed;
+    }
+    if (first_approx.empty()) {
+      first_approx = approx;
+      first_err = err;
+    } else {
+      ExpectSameBits(first_approx, approx, "twin approx");
+      ExpectSameBits(first_err, err, "twin bound");
+    }
+  }
+  return worst;
+}
+
+/// Fills every input float through `value()`.
+template <typename Value>
+void FillTwinInput(TwinInput& in, Value value) {
+  for (float& x : in.q) x = value();
+  for (float& x : in.v) x = value();
+  for (float& x : in.coef) x = value();
+  for (float& x : in.rows) x = value();
+}
+
+TEST(VecMathTwinTest, BoundsHoldTheExactKernelsResult) {
+  Rng rng(41);
+  const size_t num_rows = 24;
+  for (const Twin twin : kTwins) {
+    for (const size_t dim : kDims) {
+      const size_t width = Width(twin, dim);
+      const auto uniform = [&](double lo, double hi) {
+        return static_cast<float>(rng.UniformDouble(lo, hi));
+      };
+      for (const float coef_scale : {1.0f, -1.0f}) {
+        TwinInput in = MakeTwinInput(twin, dim, num_rows);
+        in.coef_scale = coef_scale;
+
+        FillTwinInput(in, [&] { return uniform(-2.0, 2.0); });
+        size_t claimed = 0;
+        CheckTwinBounds(twin, in, "random", &claimed);
+        EXPECT_EQ(claimed, num_rows);
+
+        // Tie-heavy: few distinct values, and rows that repeat the query.
+        const float levels[] = {-1.0f, -0.5f, 0.0f, 0.5f, 1.0f};
+        FillTwinInput(in, [&] { return levels[rng.Uniform(5)]; });
+        for (size_t i = 0; i < num_rows; i += 2) {
+          std::copy(in.q.begin(), in.q.end(), in.rows.begin() +
+                                                  static_cast<long>(i * width));
+        }
+        CheckTwinBounds(twin, in, "ties");
+
+        // Large magnitudes up to float's overflow: each row and the query
+        // take their own binade, so products, squares and sums overflow on
+        // some rows and come close to it on others.
+        const bool squares = twin != Twin::kL1 && twin != Twin::kL1Offset;
+        const int top = squares ? 60 : 117;
+        const auto scaled = [&](float* x, size_t count) {
+          const float scale = std::ldexp(
+              1.0f, top - 30 + static_cast<int>(rng.Uniform(34)));
+          for (size_t j = 0; j < count; ++j) x[j] = uniform(-1.0, 1.0) * scale;
+        };
+        scaled(in.q.data(), in.q.size());
+        scaled(in.v.data(), in.v.size());
+        for (size_t i = 0; i < num_rows; ++i) {
+          scaled(in.rows.data() + i * width, width);
+          in.coef[i] = uniform(-1.0, 1.0);
+        }
+        claimed = 0;
+        CheckTwinBounds(twin, in, "large", &claimed);
+        EXPECT_GT(claimed, 0u) << TwinName(twin) << " dim=" << dim;
+
+        // Subnormals: tiny values whose products and squares underflow.
+        FillTwinInput(in, [&] {
+          switch (rng.Uniform(4)) {
+            case 0:
+              return std::numeric_limits<float>::denorm_min() *
+                     static_cast<float>(rng.Uniform(1000));
+            case 1:
+              return uniform(-1e-39, 1e-39);
+            case 2:
+              return uniform(-1e-20, 1e-20);
+            default:
+              return uniform(-1e-30, 1e-30);
+          }
+        });
+        CheckTwinBounds(twin, in, "subnormal");
+
+        // Cancellation: rows within a few ulps of the query (for the
+        // offset kinds, of q + c v), and dot rows whose products alternate
+        // in sign so that the sum nearly cancels.
+        FillTwinInput(in, [&] { return uniform(-2.0, 2.0); });
+        for (size_t i = 0; i < num_rows; ++i) {
+          float* row = in.rows.data() + i * width;
+          const float c = in.coef_scale * in.coef[i];
+          for (size_t j = 0; j < width; ++j) {
+            float x = in.q[j];
+            if (twin == Twin::kL1Offset || twin == Twin::kL2Offset) {
+              x += c * in.v[j];
+            }
+            if (twin == Twin::kDot && j % 2 == 1) x = -in.q[j - 1];
+            for (uint64_t k = rng.Uniform(4); k > 0; --k) {
+              x = std::nextafter(x, rng.Uniform(2) == 0 ? -1e30f : 1e30f);
+            }
+            row[j] = twin == Twin::kDot && j % 2 == 0 ? in.q[j + 1 < width
+                                                                ? j + 1
+                                                                : j]
+                                                      : x;
+          }
+        }
+        CheckTwinBounds(twin, in, "cancel");
+
+        // Non-finite inputs claim nothing but must not break the others.
+        FillTwinInput(in, [&] { return uniform(-2.0, 2.0); });
+        in.rows[0] = std::numeric_limits<float>::quiet_NaN();
+        in.rows[width] = std::numeric_limits<float>::infinity();
+        CheckTwinBounds(twin, in, "non-finite");
+      }
+    }
+  }
+}
+
+/// Rows on which a twin's lane sums round up at every addition: each lane
+/// starts at a term in [1, 1.3) whose own roundings are random, and every
+/// later term is just over half an ulp of the lane's value, so every
+/// addition rounds up by nearly half an ulp. For l2_offset only lane 0
+/// carries terms, which keeps its magnitude sum close to the distance.
+TwinInput RoundUpChains(Twin twin, Rng& rng, size_t dim, size_t num_rows) {
+  TwinInput in = MakeTwinInput(twin, dim, num_rows);
+  const size_t width = Width(twin, dim);
+  const auto uniform = [&](double lo, double hi) {
+    return static_cast<float>(rng.UniformDouble(lo, hi));
+  };
+  // A term of u (1 + 2^-10), u = 2^-24, or a square root of one.
+  const float chain = 0x1p-24f * (1.0f + 0x1p-10f);
+  const float chain_root = 0x1p-12f * (1.0f + 0x1p-11f);
+  in.coef_scale = rng.Uniform(2) == 0 ? 1.0f : -1.0f;
+  for (size_t j = 0; j < dim; ++j) in.v[j] = uniform(0.2, 0.4);
+  for (size_t i = 0; i < num_rows; ++i) {
+    float* row = in.rows.data() + i * width;
+    in.coef[i] = uniform(0.5, 1.0);
+    const float c = in.coef_scale * in.coef[i];
+    for (size_t j = 0; j < dim; ++j) {
+      const bool lead =
+          twin == Twin::kL2Offset ? j == 0 : j < vec::kReduceLanes;
+      const bool in_chain =
+          twin == Twin::kL2Offset ? j % vec::kReduceLanes == 0 : true;
+      if (lead) {
+        switch (twin) {
+          case Twin::kDot:
+            in.q[j] = uniform(1.0, 1.13);
+            row[j] = uniform(1.0, 1.13);
+            break;
+          case Twin::kL1:
+          case Twin::kL2:
+            in.q[j] = uniform(1.5, 1.6);
+            row[j] = uniform(0.4, 0.5);
+            break;
+          case Twin::kL1Offset:
+          case Twin::kL2Offset:
+            // q + c v - row, each part positive, about 1.1 in all.
+            in.q[j] = uniform(0.5, 0.6);
+            in.v[j] = c > 0 ? uniform(0.3, 0.4) / c : -uniform(0.3, 0.4) / -c;
+            row[j] = -uniform(0.2, 0.3);
+            break;
+          case Twin::kCabs:
+            in.q[j] = uniform(1.5, 1.6);
+            row[j] = uniform(0.4, 0.5);
+            in.q[dim + j] = uniform(0.1, 0.2);
+            row[dim + j] = 0.0f;
+            break;
+        }
+      } else if (in_chain) {
+        const bool squared = twin == Twin::kL2 || twin == Twin::kL2Offset;
+        in.q[j] = squared ? chain_root : chain;
+        if (twin == Twin::kDot) row[j] = 1.0f;
+        if (twin == Twin::kL1Offset || twin == Twin::kL2Offset) in.v[j] = 0.0f;
+      } else {
+        in.v[j] = 0.0f;
+      }
+    }
+  }
+  return in;
+}
+
+// The bounds are the derived ones, not loose multiples of them: on rows
+// that make every addition round the same way, the twin's error comes
+// within a factor of two of its bound for every kind. A bound halved (or
+// a slack factor dropped into the error model) fails the test above on
+// these rows.
+TEST(VecMathTwinTest, BoundsAreTightOnRoundUpChains) {
+  Rng rng(43);
+  const size_t dim = 100;
+  for (const Twin twin : kTwins) {
+    double worst = 0.0;
+    for (int trial = 0; trial < 200; ++trial) {
+      const TwinInput in = RoundUpChains(twin, rng, dim, 32);
+      worst = std::max(worst, CheckTwinBounds(twin, in, "chain"));
+    }
+    EXPECT_GT(worst, 0.5) << TwinName(twin);
+  }
+}
+
 // --- Dispatch paths ---------------------------------------------------------
 
 // The generic and native TUs compile the same kernel source with
